@@ -739,12 +739,12 @@ class ShardServer:
             raise ProtocolError("quiet-round commit requires a timing-only, "
                                 "DPR-free, unobserved shard")
         n = self.n_workers
-        for w in range(n):
-            if self.worker_progress[w] != progress - 1:
-                raise ProtocolError(
-                    f"worker {w} at {self.worker_progress[w]} cannot batch-push "
-                    f"{progress} (pushes must be sequential)"
-                )
+        if self.worker_progress.count(progress - 1) != n:
+            w = next(w for w, p in enumerate(self.worker_progress) if p != progress - 1)
+            raise ProtocolError(
+                f"worker {w} at {self.worker_progress[w]} cannot batch-push "
+                f"{progress} (pushes must be sequential)"
+            )
         self.worker_progress[:] = [progress] * n
         self.last_pull_progress[:] = [progress] * n
         self._fastest = progress

@@ -279,6 +279,95 @@ def _discard_reply(reply: PullReply) -> None:
     nothing left to do (the real responder only sends the message)."""
 
 
+#: Busy periods of at most this many items fold position-parallel (one
+#: vector add per position across all of them at once); longer periods
+#: fold with one seeded ``np.add.accumulate`` each.
+_PARALLEL_PERIOD_MAX = 64
+
+#: Closed-form passes ``_seq_cascade`` makes before it finishes a lane
+#: with the scalar recurrence.  Each pass after the first resumes at a
+#: near-tie the busy-period guess got wrong, so the bound keeps a
+#: near-tie-dense lane at O(passes * n) vector work plus one O(n) loop.
+_CASCADE_MAX_PASSES = 8
+
+
+def _fold_busy_periods(
+    arrivals: np.ndarray, holds: np.ndarray, cursor: float, out: np.ndarray
+) -> None:
+    """One closed-form pass of the FIFO-lane cascade into ``out``.
+
+    In exact arithmetic ``end_i = max(cursor, max_{j<=i}(a_j - H_{j-1}))
+    + H_i`` with ``H`` the prefix sums of the holds (max-plus algebra),
+    so item ``i`` opens a busy period exactly when ``a_i - H_{i-1}``
+    beats the cursor and every earlier key.  Those starts are only a
+    *guess* in floats; the ends themselves are computed as the event
+    path does — one seeded left fold per busy period (seed ``a_s`` for
+    a period opened by an arrival, ``cursor`` for a leading saturated
+    stretch), adding the holds in item order — so every end is exact
+    wherever the guess is.  The caller verifies.
+    """
+    n = arrivals.shape[0]
+    key = np.empty(n)
+    key[0] = 0.0
+    np.cumsum(holds[:-1], out=key[1:])
+    np.subtract(arrivals, key, out=key)
+    prior = np.empty(n)
+    prior[0] = cursor
+    np.maximum(np.maximum.accumulate(key[:-1]), cursor, out=prior[1:])
+    opens = np.flatnonzero(key > prior)
+    if opens.size == n:  # every item finds the lane idle
+        np.add(arrivals, holds, out=out)
+        return
+    if opens.size and opens[0] == 0:
+        starts = opens
+        seeds = arrivals[opens]
+    else:
+        starts = np.concatenate(((0,), opens))
+        seeds = np.concatenate(((cursor,), arrivals[opens]))
+    lengths = np.empty(starts.shape[0], dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = n - starts[-1]
+    long_periods = lengths > _PARALLEL_PERIOD_MAX
+    if long_periods.any():
+        for s, length, seed in zip(
+            starts[long_periods].tolist(),
+            lengths[long_periods].tolist(),
+            seeds[long_periods].tolist(),
+        ):
+            seg = out[s : s + length]
+            seg[:] = holds[s : s + length]
+            seg[0] += seed
+            np.add.accumulate(seg, out=seg)
+        short = ~long_periods
+        starts = starts[short]
+        seeds = seeds[short]
+        lengths = lengths[short]
+        if not starts.size:
+            return
+    # Short periods: every first item at once, then the rest longest
+    # first — at position k the periods still open are a prefix, so each
+    # position is one gather-add-scatter over it.
+    cur = seeds + holds[starts]
+    out[starts] = cur
+    more = np.flatnonzero(lengths > 1)
+    if not more.size:
+        return
+    # Lengths fit in one byte, so this is a linear-time radix sort.
+    more = more[
+        np.argsort((_PARALLEL_PERIOD_MAX - lengths[more]).astype(np.uint8), kind="stable")
+    ]
+    pos = starts[more]
+    cur = cur[more]
+    still_open = more.size - np.cumsum(np.bincount(lengths[more]))
+    for k in range(1, int(lengths[more[0]])):
+        live = int(still_open[k])
+        at = pos[:live]
+        at += 1
+        run = cur[:live]
+        run += holds[at]
+        out[at] = run
+
+
 def _seq_cascade(
     arrivals: np.ndarray, holds: np.ndarray, cursor: float
 ) -> Tuple[np.ndarray, float]:
@@ -286,63 +375,43 @@ def _seq_cascade(
 
     Computes ``end_i = max(cursor_i, a_i) + h_i`` with
     ``cursor_{i+1} = end_i`` — the same float sequence the event path
-    produces one message at a time — using one seeded
-    ``np.add.accumulate`` per *saturated segment* (a maximal stretch
-    where each arrival lands before the previous transfer ends).  The
-    accumulate is strictly sequential, and the running cursor is seeded
-    *inside* the accumulated array, so every end time is bit-identical
-    to the scalar recurrence.  Returns ``(ends, final_cursor)``.
-
-    Idle-dominated stretches (every arrival after the previous end,
-    e.g. a serve lane whose per-request cost is far below the arrival
-    spacing) commit as whole runs of ``a_i + h_i`` between precomputed
-    saturation triggers; saturated stretches accumulate in growing
-    chunks.  Both regimes are O(n) vector work overall.
+    produces one message at a time — and returns ``(ends,
+    final_cursor)``.  Each pass folds every busy period in closed form
+    (:func:`_fold_busy_periods`) and then checks ``end_i == max(end_{i-1},
+    a_i) + h_i`` for all items in one vector pass.  Everything before the
+    first mismatch is the true recurrence by induction, so the next pass
+    resumes exactly there; a pass's first item is always exact, so every
+    pass makes progress.  After ``_CASCADE_MAX_PASSES`` passes the rest
+    of the lane runs the scalar recurrence, so no input costs more than
+    O(n) per pass.
     """
     n_items = arrivals.shape[0]
     out = np.empty(n_items)
-    # Idle items (arrival after the previous end) close in one add:
-    # end_i = a_i + h_i, the exact float the seeded accumulate would
-    # produce from seed a_i.  trig[i] marks where item i+1 lands before
-    # item i's *idle* end — the only places a saturated chain can start
-    # inside an idle run — so a whole run can be committed per step.
-    idle_end = arrivals + holds
-    trig_idx = np.nonzero(arrivals[1:] <= idle_end[:-1])[0]
+    if not n_items:
+        return out, cursor
     i = 0
-    while i < n_items:
-        if arrivals[i] > cursor:
-            k = int(np.searchsorted(trig_idx, i))
-            j = int(trig_idx[k]) if k < trig_idx.shape[0] else n_items - 1
-            out[i : j + 1] = idle_end[i : j + 1]
-            cursor = float(idle_end[j])
-            i = j + 1
-            continue
-        # Saturated start: seeded sequential accumulate in growing
-        # chunks (chunking a left-fold with a carried float seed is the
-        # same add sequence, so ends stay bit-exact), stopping at the
-        # first arrival that lands after its predecessor's end.
-        seed = cursor
-        pos = i
-        width = 32
-        while True:
-            hi = min(n_items, pos + width)
-            seg = np.add.accumulate(np.concatenate(((seed,), holds[pos:hi])))[1:]
-            prev = np.concatenate(((seed,), seg[:-1]))
-            viol = np.nonzero(arrivals[pos:hi] > prev)[0]
-            if viol.size:
-                j = pos + int(viol[0])
-                out[pos:j] = seg[: j - pos]
-                cursor = float(seg[j - pos - 1]) if j > pos else seed
-                i = j
-                break
-            out[pos:hi] = seg
-            seed = float(seg[-1])
-            if hi == n_items:
-                cursor = seed
-                i = n_items
-                break
-            pos = hi
-            width *= 8
+    for _ in range(_CASCADE_MAX_PASSES):
+        a = arrivals[i:]
+        h = holds[i:]
+        ends = out[i:]
+        _fold_busy_periods(a, h, cursor, ends)
+        expect = np.empty(ends.shape[0])
+        expect[0] = cursor
+        expect[1:] = ends[:-1]
+        np.maximum(expect, a, out=expect)
+        expect += h
+        wrong = expect != ends
+        if not wrong.any():
+            return out, float(ends[-1])
+        j = int(wrong.argmax())
+        if j:
+            cursor = float(ends[j - 1])
+            i += j
+    for k, (a_k, h_k) in enumerate(
+        zip(arrivals[i:].tolist(), holds[i:].tolist()), start=i
+    ):
+        cursor = (a_k if a_k > cursor else cursor) + h_k
+        out[k] = cursor
     return out, cursor
 
 
@@ -366,14 +435,17 @@ class FluentPSSimRunner:
             if config.span_capture is not None
             else (config.keep_spans or self.obs.enabled)
         )
-        self.trace = TraceRecorder(keep_spans=keep)
+        n, m = config.cluster.n_workers, config.cluster.n_servers
+        self._worker_names = [f"worker{w}" for w in range(n)]
+        # Workers are the trace's columnar tracks: the event path records
+        # one span per call, the round collapse a whole cohort per kind.
+        self.trace = TraceRecorder(keep_spans=keep, tracks=self._worker_names)
         self.spec = config.spec
         slicer = config.slicer or ElasticSlicer()
         self.layout = ShardLayout(self.spec, slicer.slice(self.spec, config.cluster.n_servers))
         self.wire_scale = config.resolved_wire_scale()
         self.compute_model = config.compute_model or LogNormalCompute(0.2)
 
-        n, m = config.cluster.n_workers, config.cluster.n_servers
         models = self._normalize_models(config.sync, m)
         training = config.task is not None
         if training:
@@ -436,7 +508,11 @@ class FluentPSSimRunner:
             for _ in range(n)
         ]
         self._compute_rngs = [derive_rng(config.seed, "compute", w) for w in range(n)]
-        self._step_rngs = [derive_rng(config.seed, "step", w) for w in range(n)]
+        # Step streams feed only gradient steps; timing-only runs never
+        # draw from them (streams are keyed, so skipping them moves none).
+        self._step_rngs = (
+            [derive_rng(config.seed, "step", w) for w in range(n)] if training else []
+        )
         self.eval_by_time = SeriesRecord("eval", x_label="time_s", y_label="metric")
         self.eval_by_iteration = SeriesRecord("eval", x_label="iteration", y_label="metric")
         self._finish_times: List[float] = [0.0] * n
@@ -673,10 +749,10 @@ class FluentPSSimRunner:
         push_bytes = self._shard_bytes  # exact when wire_factor == 1.0
         request_bytes = cfg.request_bytes
         header_bytes = cfg.header_bytes
-        record_span = self.trace.record_span
+        record_track = self.trace.record_track
         compute_rng = self._compute_rngs[w]
         sample = self.compute_model.sample
-        name = f"worker{w}"
+        name = self._worker_names[w]
         base = cfg.resolved_base_compute(cfg.cluster.workers[w].flops)
         params = cfg.task.init_params.copy() if cfg.task is not None else None
         causal = self.causal
@@ -686,7 +762,7 @@ class FluentPSSimRunner:
             dur = sample(w, i, base, compute_rng) if pre is None else pre
             t0 = engine.now
             yield dur  # zero-allocation spelling of Timeout(dur)
-            record_span(name, SpanKind.COMPUTE, t0, engine.now, i)
+            record_track(w, SpanKind.COMPUTE, t0, engine.now, i)
             cause = -1
             if causal is not None:
                 cause = causal.record(
@@ -738,7 +814,7 @@ class FluentPSSimRunner:
                     notify=False,
                 )
             yield pending.signal
-            record_span(name, SpanKind.PULL, t_sync, engine.now, i)
+            record_track(w, SpanKind.PULL, t_sync, engine.now, i)
             if causal is not None:
                 # Terminal span of the iteration's DAG: parented on the
                 # last reply to land (the cause that released the wait).
@@ -811,7 +887,7 @@ class FluentPSSimRunner:
                 return False
             if s.callbacks or s.v_train != 0:
                 return False
-            if any(p != -1 for p in s.worker_progress):
+            if s.worker_progress.count(-1) != n:
                 return False
         return True
 
@@ -840,7 +916,7 @@ class FluentPSSimRunner:
         cfg = self.cfg
         net = self.net
         eng = self.engine
-        record_span = self.trace.record_span
+        record_tracks = self.trace.record_tracks
         observed = self.obs.enabled
         n = cfg.cluster.n_workers
         M = cfg.cluster.n_servers
@@ -853,10 +929,13 @@ class FluentPSSimRunner:
         rngs = self._compute_rngs
         push_bytes = self._shard_bytes
         req_bytes = cfg.request_bytes
-        base_l = [
-            cfg.resolved_base_compute(node.flops) for node in cfg.cluster.workers
-        ]
-        names = [f"worker{w}" for w in range(n)]
+        # Base compute is a pure function of node FLOPs: one call per
+        # distinct node type, not per worker.
+        base_memo: Dict[float, float] = {}
+        for node in cfg.cluster.workers:
+            if node.flops not in base_memo:
+                base_memo[node.flops] = cfg.resolved_base_compute(node.flops)
+        base_l = [base_memo[node.flops] for node in cfg.cluster.workers]
 
         # Serialization holds are pure functions of (NIC, size): one
         # vector per distinct NIC spec covers the whole cohort.
@@ -909,11 +988,17 @@ class FluentPSSimRunner:
             # live endpoints, network totals, and dispatch counters.
             # Must run before any de-vectorized worker spawns so their
             # sends observe the post-collapse cursors.
-            for w, ep in enumerate(self._wkr_eps):
-                ep.tx_free_at = float(wtx_free[w])
-                ep.rx_free_at = float(wrx_free[w])
-                ep.tx_busy_s = float(wtx_busy[w])
-                ep.rx_busy_s = float(wrx_busy[w])
+            for ep, tx_free, rx_free, tx_busy, rx_busy in zip(
+                self._wkr_eps,
+                wtx_free.tolist(),
+                wrx_free.tolist(),
+                wtx_busy.tolist(),
+                wrx_busy.tolist(),
+            ):
+                ep.tx_free_at = tx_free
+                ep.rx_free_at = rx_free
+                ep.tx_busy_s = tx_busy
+                ep.rx_busy_s = rx_busy
                 ep.bytes_sent += rounds * (sum_push + M * req_bytes)
                 ep.messages_sent += rounds * K
                 ep.bytes_received += rounds * sum_push
@@ -941,14 +1026,18 @@ class FluentPSSimRunner:
 
         r = 0
         c = np.zeros(n)
-        rank = np.arange(n)
-        dur_l = [sample(w, 0, base_l[w], rngs[w]) for w in range(n)]
         arange_n = np.arange(n)
+        # Workers in resume-rank order (the tie-break among equal clocks).
+        by_rank = arange_n
+        dur_l = [sample(w, 0, base_l[w], rngs[w]) for w in range(n)]
         cost2n = np.full(2 * n, cost)
         while True:
             # -- resume order and the worker TX cascade -------------------
+            # Sorting on (clock, rank) is a stable sort on the clock over
+            # workers laid out in rank order; every ``(time, seq)`` order
+            # below is built the same way.
             e = c + np.asarray(dur_l)
-            order_w = np.lexsort((rank, e))
+            order_w = by_rank[np.argsort(e[by_rank], kind="stable")]
             wrank = np.empty(n, dtype=np.int64)
             wrank[order_w] = arange_n
             cur = np.maximum(wtx_free, e)
@@ -957,6 +1046,9 @@ class FluentPSSimRunner:
                 cur = cur + wtx_holds[:, k]
                 T[:, k] = cur
             new_wtx_free = cur
+            # Send seqs follow resume rank, then column order (pushes
+            # 0..M-1, then pulls): rows of ``T_seq`` are in send-seq order.
+            T_seq = T[order_w]
 
             # -- per-server request claim, RX lane, serve cascade ---------
             # RX cursors are claimed at TX-completion events, so per-server
@@ -974,10 +1066,12 @@ class FluentPSSimRunner:
             inline_round = 0
             srv_claims: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
             for m in range(M):
-                t2 = np.concatenate((T[:, m], T[:, M + m]))
-                k2 = np.concatenate((wrank * K + m, wrank * K + M + m))
-                o = np.lexsort((k2, t2))
-                at = t2[o] + latency
+                # Claims indexed ``w`` (push) and ``n + w`` (pull); in send
+                # order each worker's push precedes its pull.
+                t2 = T_seq[:, (m, M + m)].ravel()
+                j = np.argsort(t2, kind="stable")
+                o = order_w[j >> 1] + n * (j & 1)
+                at = t2[j] + latency
                 is_pull = o >= n
                 h2 = np.where(is_pull, s_pull_hold[m], s_push_hold[m])
                 rx_ends, new_srx_free[m] = _seq_cascade(at, h2, srx_free[m])
@@ -1001,10 +1095,9 @@ class FluentPSSimRunner:
                 srv_claims.append((o, rx_ends, serve))
 
             # -- global reply send seq = global pull handle order ---------
-            keyp = wrank[:, None] * K + (np.arange(M) + M)[None, :]
-            go = np.lexsort((keyp.ravel(), T[:, M:].ravel()))
-            ptx_rank = np.empty(n * M, dtype=np.int64)
-            ptx_rank[go] = np.arange(n * M)
+            ptx_seq = np.empty(n * M, dtype=np.int64)
+            ptx_seq[np.argsort(T_seq[:, M:].ravel(), kind="stable")] = np.arange(n * M)
+            ptx_rank = ptx_seq.reshape(n, M)[wrank].ravel()
             if fused:
                 reply_rank = ptx_rank.reshape(n, M)
             else:
@@ -1068,13 +1161,12 @@ class FluentPSSimRunner:
                     # de-vectorizes here, durations pre-drawn so the RNG
                     # streams stay aligned with the pure event path.
                     _flush()
-                    for pos in np.argsort(rank, kind="stable"):
-                        w = int(pos)
+                    for w in by_rank.tolist():
                         eng.spawn(
                             self._worker_proc(
                                 w, r, {r: dur_l[w], r + 1: dur_next[w]}
                             ),
-                            name=names[w],
+                            name=self._worker_names[w],
                             elidable=True,
                             start_at=float(c[w]),
                         )
@@ -1084,7 +1176,7 @@ class FluentPSSimRunner:
             if observed:
                 self._observed_round_commit(
                     r, c, e, f, order_w, fire_order, T, wrank, pull_rxend,
-                    srv_claims, rtx_s, rr_s, rrx, perm, pull_serve, names,
+                    srv_claims, rtx_s, rr_s, rrx, perm, pull_serve,
                 )
             else:
                 for m in range(M):
@@ -1094,16 +1186,8 @@ class FluentPSSimRunner:
                         r, e, T, wrank, pull_rxend, srv_claims, rtx_s, rr_s,
                         rrx, perm, pull_serve,
                     )
-                for idx in order_w:
-                    w = int(idx)
-                    record_span(
-                        names[w], SpanKind.COMPUTE, float(c[w]), float(e[w]), r
-                    )
-                for idx in fire_order:
-                    w = int(idx)
-                    record_span(
-                        names[w], SpanKind.PULL, float(e[w]), float(f[w]), r
-                    )
+                record_tracks(SpanKind.COMPUTE, c, e, r, order_w)
+                record_tracks(SpanKind.PULL, e, f, r, fire_order)
             wtx_free = new_wtx_free
             wrx_free = f
             wrx_busy = new_wrx_busy
@@ -1129,13 +1213,12 @@ class FluentPSSimRunner:
                 return True
             r += 1
             c = f
-            rank = np.empty(n, dtype=np.int64)
-            rank[fire_order] = arange_n
+            by_rank = fire_order
             dur_l = dur_next
 
     def _observed_round_commit(
         self, r, c, e, f, order_w, fire_order, T, wrank, pull_rxend,
-        srv_claims, rtx_s, rr_s, rrx, perm, pull_serve, names,
+        srv_claims, rtx_s, rr_s, rrx, perm, pull_serve,
     ) -> None:
         """Replay one certified-quiet round through the real protocol
         handlers so the S001–S016 instant stream is byte-identical to the
@@ -1157,9 +1240,7 @@ class FluentPSSimRunner:
         servers = self.servers
         srv_names = self._srv_names
         hooks = self.net._delivery_hooks
-        for idx in order_w:
-            w = int(idx)
-            record_span(names[w], SpanKind.COMPUTE, float(c[w]), float(e[w]), r)
+        self.trace.record_tracks(SpanKind.COMPUTE, c, e, r, order_w)
         serve_flat = np.empty(n * K)
         for m in range(M):
             o, _rx, serve = srv_claims[m]
@@ -1208,12 +1289,13 @@ class FluentPSSimRunner:
                 r, e, T, wrank, pull_rxend, srv_claims, rtx_s, rr_s, rrx,
                 perm, pull_serve,
             )
+        self.trace.record_tracks(SpanKind.PULL, e, f, r, fire_order)
         sketches = self._pull_sketches
-        for idx in fire_order:
-            w = int(idx)
-            record_span(names[w], SpanKind.PULL, float(e[w]), float(f[w]), r)
-            if sketches is not None:
-                sketches[w].observe(float(f[w]) - float(e[w]))
+        if sketches is not None:
+            for w, t0, t1 in zip(
+                fire_order.tolist(), e[fire_order].tolist(), f[fire_order].tolist()
+            ):
+                sketches[w].observe(t1 - t0)
 
     def _emit_collapsed_hooks(
         self, r, e, T, wrank, pull_rxend, srv_claims, rtx_s, rr_s, rrx,
@@ -1310,7 +1392,9 @@ class FluentPSSimRunner:
             collapsed_all = self._collapse_rounds()
         else:
             for w in range(self.cfg.cluster.n_workers):
-                self.engine.spawn(self._worker_proc(w), name=f"worker{w}", elidable=True)
+                self.engine.spawn(
+                    self._worker_proc(w), name=self._worker_names[w], elidable=True
+                )
         snapshotter = None
         if self.obs.enabled:
             snapshotter = ServerSnapshotter(
@@ -1343,8 +1427,7 @@ class FluentPSSimRunner:
             )
         if self._capture is not None:
             self._capture.complete = True
-        worker_names = [f"worker{w}" for w in range(self.cfg.cluster.n_workers)]
-        total_compute = self.trace.compute_time(worker_names)
+        total_compute = self.trace.compute_time(self._worker_names)
         total_wall = sum(self._finish_times)
         metrics = SyncMetrics.merge_all(s.metrics for s in self.servers)
         if self.obs.enabled:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class SpanKind(enum.Enum):
@@ -27,6 +29,9 @@ class SpanKind(enum.Enum):
 
 #: Span kinds counted as "communication" in Fig-6-style breakdowns.
 COMM_KINDS = (SpanKind.PUSH, SpanKind.PULL, SpanKind.BLOCKED)
+
+#: Row of each span kind in the columnar track table.
+_KIND_ROW: Dict[SpanKind, int] = {k: i for i, k in enumerate(SpanKind)}
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,19 @@ class Span:
 
 
 class TraceRecorder:
-    """Accumulates spans and named counters for one simulated run."""
+    """Accumulates spans and named counters for one simulated run.
+
+    Actors named in ``tracks`` (the simulator's workers) live in a
+    columnar *track table*: one float64 total, one count and one
+    first-record sequence number per (span kind, track), so a whole
+    cohort's spans commit with one vector add per kind
+    (:meth:`record_tracks`) while single spans still record one at a
+    time (:meth:`record_track`, or :meth:`record_span` by name).  Every
+    other actor keeps a per-(actor, kind) dict entry.  A track actor's
+    spans always land in the table — however they were recorded — so
+    its totals are one left fold in recording order, and every query
+    returns the same floats a plain per-span dict would.
+    """
 
     #: Tolerated clock jitter: a span whose end precedes its start by at
     #: most ``NEGATIVE_EPS * max(1, |t0|)`` seconds is clipped to zero
@@ -55,13 +72,32 @@ class TraceRecorder:
     #: accumulate negative time.
     NEGATIVE_EPS = 1e-9
 
-    def __init__(self, keep_spans: bool = True):
+    def __init__(self, keep_spans: bool = True, tracks: Sequence[str] = ()):
         self.keep_spans = keep_spans
         self.spans: List[Span] = []
         self.counters: Dict[str, float] = defaultdict(float)
         self._totals: Dict[Tuple[str, SpanKind], float] = defaultdict(float)
         self._span_counts: Dict[Tuple[str, SpanKind], int] = defaultdict(int)
+        #: First-record sequence number of each (actor, kind) pair outside
+        #: the track table; ``total_by_kind`` sums in this order.
+        self._first: Dict[Tuple[str, SpanKind], int] = {}
+        self._n_pairs = 0
         self.end_time: float = 0.0
+        self.tracks: List[str] = list(tracks)
+        self._track_index: Dict[str, int] = {a: i for i, a in enumerate(self.tracks)}
+        if len(self._track_index) != len(self.tracks):
+            raise ValueError("track names must be unique")
+        shape = (len(_KIND_ROW), len(self.tracks))
+        self._track_totals = np.zeros(shape)
+        self._track_counts = np.zeros(shape, dtype=np.int64)
+        # -1 until the track records its first span of that kind.
+        self._track_first = np.full(shape, -1, dtype=np.int64)
+
+    def _clip(self, t0: float, t1: float) -> float:
+        """End time of an inverted span: ``t0`` for jitter, else raise."""
+        if t0 - t1 > self.NEGATIVE_EPS * max(1.0, abs(t0)):
+            raise ValueError(f"span ends before it starts: [{t0}, {t1}]")
+        return t0  # clock jitter: clip to an empty span
 
     def record_span(
         self,
@@ -73,15 +109,100 @@ class TraceRecorder:
         note: str = "",
     ) -> None:
         """Record one ``[t0, t1]`` span of ``kind`` for ``actor``."""
+        track = self._track_index.get(actor)
+        if track is not None:
+            self.record_track(track, kind, t0, t1, iteration, note)
+            return
         if t1 < t0:
-            if t0 - t1 > self.NEGATIVE_EPS * max(1.0, abs(t0)):
-                raise ValueError(f"span ends before it starts: [{t0}, {t1}]")
-            t1 = t0  # clock jitter: clip to an empty span
+            t1 = self._clip(t0, t1)
         if self.keep_spans:
             self.spans.append(Span(actor, kind, t0, t1, iteration, note))
-        self._totals[(actor, kind)] += t1 - t0
-        self._span_counts[(actor, kind)] += 1
+        key = (actor, kind)
+        if key not in self._first:
+            self._first[key] = self._n_pairs
+            self._n_pairs += 1
+        self._totals[key] += t1 - t0
+        self._span_counts[key] += 1
         self.end_time = max(self.end_time, t1)
+
+    def record_track(
+        self,
+        track: int,
+        kind: SpanKind,
+        t0: float,
+        t1: float,
+        iteration: int = -1,
+        note: str = "",
+    ) -> None:
+        """Record one span for track number ``track`` (``tracks[track]``)."""
+        if t1 < t0:
+            t1 = self._clip(t0, t1)
+        if self.keep_spans:
+            self.spans.append(Span(self.tracks[track], kind, t0, t1, iteration, note))
+        row = _KIND_ROW[kind]
+        if self._track_first[row, track] < 0:
+            self._track_first[row, track] = self._n_pairs
+            self._n_pairs += 1
+        self._track_totals[row, track] += t1 - t0
+        self._track_counts[row, track] += 1
+        self.end_time = max(self.end_time, t1)
+
+    def record_tracks(
+        self,
+        kind: SpanKind,
+        t0: np.ndarray,
+        t1: np.ndarray,
+        iteration: int = -1,
+        order: Optional[np.ndarray] = None,
+    ) -> None:
+        """Record one ``[t0[i], t1[i]]`` span of ``kind`` for every track.
+
+        Equivalent to calling :meth:`record_track` once per track in
+        ``order`` (a permutation of the track numbers, default ascending):
+        the same totals, counts, ``end_time``, first-record order and —
+        when spans are kept — the same span list.  Jitter inversions clip
+        and larger inversions raise the same ``ValueError`` as the first
+        offending span in ``order`` would; a raising batch records
+        nothing.
+        """
+        t0 = np.asarray(t0, dtype=np.float64)
+        t1 = np.asarray(t1, dtype=np.float64)
+        if t0.shape != (len(self.tracks),) or t1.shape != t0.shape:
+            raise ValueError(
+                f"need one span per track ({len(self.tracks)}), "
+                f"got {t0.shape} and {t1.shape}"
+            )
+        if not t0.size:
+            return
+        order = np.arange(t0.size) if order is None else np.asarray(order)
+        dur = t1 - t0
+        if dur.min() < 0:
+            inverted = dur < 0
+            bad = inverted & (t0 - t1 > self.NEGATIVE_EPS * np.maximum(1.0, np.abs(t0)))
+            if bad.any():
+                first = int(order[np.flatnonzero(bad[order])[0]])
+                raise ValueError(
+                    f"span ends before it starts: [{float(t0[first])}, {float(t1[first])}]"
+                )
+            t1 = np.where(inverted, t0, t1)
+            dur = t1 - t0
+        row = _KIND_ROW[kind]
+        self._track_totals[row] += dur
+        self._track_counts[row] += 1
+        first = self._track_first[row]
+        if first.min() < 0:
+            new = order[first[order] < 0]
+            first[new] = np.arange(self._n_pairs, self._n_pairs + new.size)
+            self._n_pairs += new.size
+        if self.keep_spans:
+            names = self.tracks
+            starts = t0.tolist()
+            ends = t1.tolist()
+            self.spans.extend(
+                Span(names[i], kind, starts[i], ends[i], iteration)
+                for i in order.tolist()
+            )
+        self.end_time = max(self.end_time, float(t1.max()))
 
     def incr(self, counter: str, by: float = 1.0) -> None:
         """Increment a named counter."""
@@ -89,24 +210,72 @@ class TraceRecorder:
 
     # -- aggregation ----------------------------------------------------
 
+    def totals(self) -> Dict[Tuple[str, SpanKind], float]:
+        """Seconds per recorded ``(actor, kind)`` pair, in first-record order."""
+        pairs = [(self._first[key], key, v) for key, v in self._totals.items()]
+        rows, cols = np.nonzero(self._track_first >= 0)
+        kinds = list(_KIND_ROW)
+        pairs.extend(
+            zip(
+                self._track_first[rows, cols].tolist(),
+                [(self.tracks[c], kinds[r]) for r, c in zip(rows.tolist(), cols.tolist())],
+                self._track_totals[rows, cols].tolist(),
+            )
+        )
+        pairs.sort(key=lambda p: p[0])
+        return {key: v for _seq, key, v in pairs}
+
     def actors(self) -> List[str]:
         """All actor names seen so far, sorted."""
-        return sorted({a for (a, _k) in self._totals})
+        seen = {a for (a, _k) in self._totals}
+        recorded = np.flatnonzero((self._track_counts > 0).any(axis=0))
+        seen.update(self.tracks[i] for i in recorded.tolist())
+        return sorted(seen)
 
     def total(self, actor: str, kind: SpanKind) -> float:
         """Total seconds of ``kind`` recorded for ``actor``."""
+        track = self._track_index.get(actor)
+        if track is not None:
+            return float(self._track_totals[_KIND_ROW[kind], track])
         return self._totals.get((actor, kind), 0.0)
 
     def count(self, actor: str, kind: SpanKind) -> int:
         """Number of ``kind`` spans recorded for ``actor``."""
+        track = self._track_index.get(actor)
+        if track is not None:
+            return int(self._track_counts[_KIND_ROW[kind], track])
         return self._span_counts.get((actor, kind), 0)
 
     def total_by_kind(self, kind: SpanKind, actors: Optional[Iterable[str]] = None) -> float:
-        """Total seconds of ``kind`` across ``actors`` (all if None)."""
-        if actors is None:
-            return sum(v for (_a, k), v in self._totals.items() if k is kind)
-        wanted = set(actors)
-        return sum(v for (a, k), v in self._totals.items() if k is kind and a in wanted)
+        """Total seconds of ``kind`` across ``actors`` (all if None).
+
+        Sums one actor at a time in first-record order, so the float
+        result does not depend on which store holds an actor.
+        """
+        wanted = None if actors is None else set(actors)
+        seqs: List[int] = []
+        values: List[float] = []
+        for key, v in self._totals.items():
+            if key[1] is kind and (wanted is None or key[0] in wanted):
+                seqs.append(self._first[key])
+                values.append(v)
+        row = _KIND_ROW[kind]
+        recorded = self._track_first[row] >= 0
+        if wanted is not None and not wanted.issuperset(self.tracks):
+            recorded &= np.fromiter(
+                (a in wanted for a in self.tracks), dtype=bool, count=len(self.tracks)
+            )
+        picked = np.flatnonzero(recorded)
+        if picked.size:
+            order = np.argsort(
+                np.concatenate((np.asarray(seqs, dtype=np.int64), self._track_first[row, picked])),
+                kind="stable",
+            )
+            merged = np.concatenate(
+                (np.asarray(values, dtype=np.float64), self._track_totals[row, picked])
+            )
+            values = merged[order].tolist()
+        return sum(values)
 
     def compute_time(self, actors: Optional[Iterable[str]] = None) -> float:
         """Aggregate compute seconds across (worker) actors."""

@@ -11,6 +11,7 @@ oracle — and compares exhaustively.
 """
 
 import json
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -18,23 +19,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.models import bsp, pssp, ssp
-from repro.ml.models_zoo import alexnet_cifar_workload
+from repro.ml.models_zoo import alexnet_cifar_workload, resnet56_cifar_workload
 from repro.obs import NULL_OBS, MetricsRegistry, Observability
+from repro.sim import runner as runner_mod
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
 from repro.sim.runner import FluentPSSimRunner, SimConfig, _seq_cascade
-from repro.sim.stragglers import ComputeModel, DeterministicCompute, cpu_cluster_compute
+from repro.sim.stragglers import (
+    ComputeModel,
+    DeterministicCompute,
+    LogNormalCompute,
+    cpu_cluster_compute,
+)
 
 
 class _InjectedStraggler(ComputeModel):
-    """Deterministic compute with one straggler draw at (worker, iter)."""
+    """Compute with one straggler draw at (worker, iter): deterministic,
+    or ``jitter``'s draw when given."""
 
-    def __init__(self, worker: int, iteration: int, slow_factor: float = 6.0):
+    def __init__(
+        self,
+        worker: int,
+        iteration: int,
+        slow_factor: float = 6.0,
+        jitter: Optional[ComputeModel] = None,
+    ):
         self.worker = worker
         self.iteration = iteration
         self.slow_factor = slow_factor
+        self.jitter = jitter
 
     def sample(self, worker, iteration, base_time, rng):
         t = base_time
+        if self.jitter is not None:
+            t = self.jitter.sample(worker, iteration, base_time, rng)
         if worker == self.worker and iteration == self.iteration:
             t *= self.slow_factor
         return t
@@ -81,7 +98,7 @@ def _fingerprint(runner, result, rec):
             "net": [runner.net.total_messages, runner.net.total_bytes],
             "dispatch": [runner.server_msgs_inline, runner.server_msgs_drained],
             "spans": sorted(
-                (a, k.value, v) for (a, k), v in runner.trace._totals.items()
+                (a, k.value, v) for (a, k), v in runner.trace.totals().items()
             ),
         },
         sort_keys=True,
@@ -170,6 +187,42 @@ class TestVectorModeDifferential:
         assert ra.engine.rounds_collapsed == 3
         assert ra.engine.events_processed == 0
         assert rb.engine.events_processed == ra.engine.round_events_saved
+
+
+def _resnet56_scale_cell(n=2048, iters=3, compute=None, seed=5):
+    """The compute-bound regime where the collapse engages at scale:
+    ResNet-56 on the GPU preset with the per-worker batch grown with the
+    cohort (5 samples per worker), so each round's compute outlasts the
+    round's server traffic, which also grows with the cohort."""
+    return dict(
+        cluster=gpu_cluster_p2(n, 8),
+        max_iter=iters,
+        sync=ssp(3),
+        workload=resnet56_cifar_workload(),
+        compute_model=compute or LogNormalCompute(sigma=0.01),
+        batch_per_worker=5 * n,
+        seed=seed,
+    )
+
+
+class TestScaleDifferential:
+    """Collapse vs oracle where the collapse actually engages: thousands
+    of workers, every round committed in closed form (or de-vectorized
+    mid-run), no observability."""
+
+    @pytest.mark.parametrize("hooks", [False, True])
+    def test_every_round_collapses(self, hooks):
+        ra, _rb = _assert_differential(_resnet56_scale_cell(), hooks=hooks)
+        assert ra.engine.rounds_collapsed == 3
+        assert ra.engine.events_processed == 0
+
+    def test_straggler_devectorizes_midrun(self):
+        compute = _InjectedStraggler(
+            worker=1234, iteration=1, jitter=LogNormalCompute(sigma=0.01)
+        )
+        ra, _rb = _assert_differential(_resnet56_scale_cell(compute=compute))
+        assert ra.engine.rounds_collapsed == 1
+        assert ra.engine.events_processed > 0
 
 
 class TestDevectorization:
@@ -262,7 +315,57 @@ class TestEligibilityGates:
         assert runner.engine.round_events_saved == 0
 
 
+def _scalar_cascade(arrivals, holds, cursor):
+    """The event path's one-message-at-a-time lane recurrence."""
+    ends = []
+    c = cursor
+    for a, h in zip(arrivals.tolist(), holds.tolist()):
+        c = (a if a > c else c) + h
+        ends.append(c)
+    return np.array(ends, dtype=np.float64), c
+
+
+def _assert_cascade_exact(arrivals, holds, cursor):
+    ends, final = _seq_cascade(arrivals, holds, cursor)
+    ref, ref_final = _scalar_cascade(arrivals, holds, cursor)
+    assert ends.shape == ref.shape
+    assert ends.tobytes() == ref.tobytes()  # bit-identical, not approx
+    assert final == ref_final
+
+
+@pytest.fixture
+def fold_passes(monkeypatch):
+    """Count the closed-form passes each ``_seq_cascade`` call makes."""
+    calls = []
+    fold = runner_mod._fold_busy_periods
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return fold(*args)
+
+    monkeypatch.setattr(runner_mod, "_fold_busy_periods", counting)
+    return calls
+
+
+def _near_tie_lane(rng, n, every=1):
+    """Arrivals one ulp either side of the running lane end at every
+    ``every``-th item (idle gaps elsewhere), so the closed-form busy
+    period guess has to call floating-point coin flips."""
+    holds = rng.uniform(0.1, 10.0, n)
+    arrivals = np.empty(n)
+    c = 0.0
+    for i in range(n):
+        if i % every == 0:
+            arrivals[i] = np.nextafter(c, np.inf if rng.random() < 0.5 else -np.inf)
+        else:
+            arrivals[i] = c + 20.0
+        c = max(c, arrivals[i]) + holds[i]
+    return np.maximum.accumulate(arrivals), holds
+
+
 class TestSeqCascade:
+    """``_seq_cascade`` against the scalar recurrence, bit for bit."""
+
     @given(
         data=st.lists(
             st.tuples(
@@ -278,11 +381,83 @@ class TestSeqCascade:
     def test_bit_exact_vs_scalar_recurrence(self, data, cursor):
         arrivals = np.sort(np.array([a for a, _h in data]))
         holds = np.array([h for _a, h in data])
-        ends, final = _seq_cascade(arrivals, holds, cursor)
-        c = cursor
-        for i in range(len(data)):
-            if arrivals[i] > c:
-                c = arrivals[i]
-            c = c + holds[i]
-            assert ends[i] == c  # bit-identical, not approx
-        assert final == c
+        _assert_cascade_exact(arrivals, holds, cursor)
+
+    def test_empty_lane_keeps_cursor(self):
+        ends, final = _seq_cascade(np.empty(0), np.empty(0), 3.5)
+        assert ends.shape == (0,)
+        assert final == 3.5
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 1000, 10_000])
+    @pytest.mark.parametrize("load", [0.2, 1.0, 5.0])
+    def test_long_mixed_lanes(self, n, load):
+        # ``load`` scales holds against the mean arrival spacing: below 1
+        # the lane is mostly idle, above 1 mostly saturated, at 1 it mixes
+        # short and long busy periods.
+        rng = np.random.default_rng(n)
+        arrivals = np.sort(rng.uniform(0.0, float(n), n))
+        holds = rng.exponential(load, n)
+        _assert_cascade_exact(arrivals, holds, float(rng.uniform(0.0, 2.0)))
+
+    def test_all_idle_lane(self):
+        arrivals = np.arange(5000, dtype=np.float64) * 3.0
+        holds = np.full(5000, 1.25)
+        ends, _final = _seq_cascade(arrivals, holds, -1.0)
+        assert ends.tobytes() == (arrivals + holds).tobytes()
+        _assert_cascade_exact(arrivals, holds, -1.0)
+
+    def test_all_saturated_lane(self):
+        rng = np.random.default_rng(5)
+        holds = rng.uniform(0.0, 1.0, 5000)
+        arrivals = np.zeros(5000)
+        ends, _final = _seq_cascade(arrivals, holds, 7.0)
+        assert ends.tobytes() == np.add.accumulate(np.concatenate(([7.0], holds)))[1:].tobytes()
+        _assert_cascade_exact(arrivals, holds, 7.0)
+
+    @pytest.mark.parametrize(
+        "length",
+        [runner_mod._PARALLEL_PERIOD_MAX - 1, runner_mod._PARALLEL_PERIOD_MAX,
+         runner_mod._PARALLEL_PERIOD_MAX + 1],
+    )
+    def test_busy_periods_around_parallel_threshold(self, length, fold_passes):
+        # Groups of ``length`` simultaneous arrivals, each group far
+        # after the previous one drains: every busy period has exactly
+        # ``length`` items, next to short and long neighbours.
+        rng = np.random.default_rng(length)
+        sizes = [length, 1, length, 3, length]
+        arrivals = np.concatenate(
+            [np.full(k, 1000.0 * g) for g, k in enumerate(sizes)]
+        )
+        holds = rng.uniform(0.5, 1.5, arrivals.shape[0])
+        _assert_cascade_exact(arrivals, holds, 0.0)
+        assert len(fold_passes) == 1  # no near ties: one closed-form pass
+
+    def test_exact_ties_are_harmless(self, fold_passes):
+        # a_i == end_{i-1}: opening a period or continuing one is the
+        # same float add, so the closed form may guess either way.
+        rng = np.random.default_rng(11)
+        holds = rng.uniform(0.01, 3.0, 4000)
+        arrivals = np.empty(4000)
+        c = 2.0
+        for i in range(4000):
+            arrivals[i] = c if i % 3 else c + 1.0
+            c = max(c, arrivals[i]) + holds[i]
+        _assert_cascade_exact(arrivals, holds, 2.0)
+        assert len(fold_passes) == 1
+
+    def test_sparse_near_ties_resume_from_mismatch(self, fold_passes):
+        rng = np.random.default_rng(2)
+        arrivals, holds = _near_tie_lane(rng, 4000, every=97)
+        _assert_cascade_exact(arrivals, holds, 0.0)
+        # The verify-and-resume path ran: at least one pass restarted at
+        # a mismatch, on a strictly shorter suffix.
+        assert len(fold_passes) > 1
+        assert fold_passes == sorted(fold_passes, reverse=True)
+        assert len(set(fold_passes)) == len(fold_passes)
+
+    def test_dense_near_ties_stay_bounded(self, fold_passes):
+        rng = np.random.default_rng(4)
+        arrivals, holds = _near_tie_lane(rng, 3000)
+        _assert_cascade_exact(arrivals, holds, 0.0)
+        # Passes are capped; the scalar recurrence finishes the lane.
+        assert 1 < len(fold_passes) <= runner_mod._CASCADE_MAX_PASSES

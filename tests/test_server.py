@@ -11,6 +11,7 @@ from repro.core.server import (
     PullReply,
     ShardServer,
 )
+from repro.obs import NULL_OBS
 
 
 def make_server(model=None, execution=ExecutionMode.LAZY, n=3, params=None, **kw):
@@ -95,6 +96,25 @@ class TestPushSemantics:
         assert srv.last_significance == pytest.approx(
             np.linalg.norm(np.full(4, 0.2)) / np.linalg.norm(np.full(4, 2.2)), rel=1e-3
         )
+
+
+class TestQuietRound:
+    """``handle_quiet_round``: the round collapse's batch commit."""
+
+    def test_commits_whole_rounds(self):
+        srv = make_server(n=4, obs=NULL_OBS)
+        srv.handle_quiet_round(0, early_pulls=1)
+        assert srv.worker_progress == [0] * 4
+        assert srv.v_train == 1
+        srv.handle_quiet_round(1, early_pulls=0)
+        assert srv.worker_progress == [1] * 4
+        assert srv.v_train == 2
+
+    def test_out_of_sequence_worker_raises(self):
+        srv = make_server(n=4, obs=NULL_OBS)
+        srv.handle_push(2, 0)
+        with pytest.raises(ProtocolError, match="worker 2 at 0 cannot batch-push 0"):
+            srv.handle_quiet_round(0, early_pulls=0)
 
 
 class TestPullSemantics:
