@@ -5,16 +5,16 @@ overhead) only get interesting at cluster scale, so this experiment runs
 the timing-only co-simulation over a grid of cluster preset × worker
 count × sync model and reports, per cell, both the simulated outcome
 (sim-seconds per iteration, DPR load) and the simulator's own cost
-(host wall clock, events/second, fast-forward and calendar counters).
+(host wall clock, events/second, round-collapse counters).
 
 The worker axis stretches to 100 000 simulated workers at paper scale —
 three orders of magnitude past the old 128-worker macro ceiling — which
-is what the engine's calendar queue, mesoscale fast-forward, and
-protocol-quiet elision exist for (docs/PERFORMANCE.md, "Mesoscale
-fast-forward and the calendar queue" and "Protocol-quiet elision and
-parallel shard drains").  Each cell also reports what the run cost the
-host: peak RSS and the engine's pending-event high-water mark document
-what the box actually has to hold per population.
+is what the closed-form round collapse and the analytic shard drain
+lanes exist for (docs/PERFORMANCE.md, "Closed-form round fast-forward
+and the cohort state table" and "Analytic drain lanes").  Each cell
+also reports what the run cost the host: peak RSS and the engine's
+pending-event high-water mark document what the box actually has to
+hold per population.
 
 Reading the grid: a sync model's scaling "breaks" where its
 ``sim_s_per_iter`` stops being flat in N.  BSP degrades first (the full
@@ -108,9 +108,6 @@ def _grid_arm(preset: str, n: int, sync_name: str, seed: int) -> ExperimentResul
         round(per_iter, 4),
         int(eng.events_processed),
         int(events_per_sec),
-        int(eng.events_skipped),
-        int(eng.events_elided),
-        int(eng.quiet_regions),
         int(eng.rounds_collapsed),
         int(eng.round_events_saved),
         int(eng.pending_high_water),
@@ -124,11 +121,6 @@ def _grid_arm(preset: str, n: int, sync_name: str, seed: int) -> ExperimentResul
         sim_s_per_iter=per_iter,
         events=float(eng.events_processed),
         events_per_sec=events_per_sec,
-        events_skipped=float(eng.events_skipped),
-        windows_collapsed=float(eng.windows_collapsed),
-        calendar_sweeps=float(eng.calendar_sweeps),
-        events_elided=float(eng.events_elided),
-        quiet_regions=float(eng.quiet_regions),
         rounds_collapsed=float(eng.rounds_collapsed),
         round_events_saved=float(eng.round_events_saved),
         fused_deliveries=float(runner.net.fused_deliveries),
@@ -159,9 +151,6 @@ def scale_grid(
             "sim_s_per_iter",
             "events",
             "events_per_sec",
-            "events_skipped",
-            "events_elided",
-            "quiet_regions",
             "rounds_collapsed",
             "round_events_saved",
             "pending_hwm",

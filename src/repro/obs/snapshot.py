@@ -38,12 +38,10 @@ class ServerSnapshotter:
     ):
         """``nodes`` limits NIC gauges to the named endpoints (typically
         the server nodes — the incast side); default is all endpoints.
-        ``engine`` adds fast-forward health gauges (events skipped by
-        mesoscale windows, windows collapsed, calendar sweeps) plus the
-        elision counters (events elided, quiet regions, pending-event
-        high-water).  ``dispatch`` is any object exposing
-        ``server_msgs_inline``/``server_msgs_drained`` (the runner) and
-        adds the request-dispatch counters."""
+        ``engine`` adds the engine gauges (pending-event high-water,
+        rounds collapsed, round events saved).  ``dispatch`` is any
+        object exposing ``server_msgs_inline``/``server_msgs_drained``
+        (the runner) and adds the request-dispatch counters."""
         self.servers = list(servers)
         self.network = network
         self.engine = engine
@@ -102,22 +100,6 @@ class ServerSnapshotter:
             )
             for s in self.servers
         ]
-        self._g_skipped = registry.gauge(
-            "engine_events_skipped", "events fast-forwarded past heap maintenance"
-        )
-        self._g_collapsed = registry.gauge(
-            "engine_windows_collapsed", "mesoscale windows drained without heap ops"
-        )
-        self._g_sweeps = registry.gauge(
-            "engine_calendar_sweeps", "heap-to-calendar migrations performed"
-        )
-        self._g_elided = registry.gauge(
-            "engine_events_elided",
-            "events batch-served inside protocol-quiet regions",
-        )
-        self._g_quiet = registry.gauge(
-            "engine_quiet_regions", "protocol-quiet same-instant regions served"
-        )
         self._g_pending_hwm = registry.gauge(
             "engine_pending_event_hwm", "pending-event high-water mark"
         )
@@ -144,11 +126,6 @@ class ServerSnapshotter:
         self._b_net_bytes = self._g_net_bytes.labels()
         self._b_fast = self._g_fast.labels()
         self._b_fallback = self._g_fallback.labels()
-        self._b_skipped = self._g_skipped.labels()
-        self._b_collapsed = self._g_collapsed.labels()
-        self._b_sweeps = self._g_sweeps.labels()
-        self._b_elided = self._g_elided.labels()
-        self._b_quiet = self._g_quiet.labels()
         self._b_pending_hwm = self._g_pending_hwm.labels()
         self._b_rounds_collapsed = self._g_rounds_collapsed.labels()
         self._b_round_saved = self._g_round_saved.labels()
@@ -190,11 +167,6 @@ class ServerSnapshotter:
             b_copies.set(server.snapshot_copies)
             b_avoided.set(server.snapshot_copies_avoided)
         if self.engine is not None:
-            self._b_skipped.set(self.engine.events_skipped)
-            self._b_collapsed.set(self.engine.windows_collapsed)
-            self._b_sweeps.set(self.engine.calendar_sweeps)
-            self._b_elided.set(self.engine.events_elided)
-            self._b_quiet.set(self.engine.quiet_regions)
             self._b_pending_hwm.set(self.engine.pending_high_water)
             self._b_rounds_collapsed.set(self.engine.rounds_collapsed)
             self._b_round_saved.set(self.engine.round_events_saved)
@@ -227,11 +199,6 @@ class ServerSnapshotter:
         scrape reads zero), so they are always re-set here."""
         if self._last_scrape_t is not None and not (now > self._last_scrape_t):
             if self.engine is not None:
-                self._b_skipped.set(self.engine.events_skipped)
-                self._b_collapsed.set(self.engine.windows_collapsed)
-                self._b_sweeps.set(self.engine.calendar_sweeps)
-                self._b_elided.set(self.engine.events_elided)
-                self._b_quiet.set(self.engine.quiet_regions)
                 self._b_pending_hwm.set(self.engine.pending_high_water)
                 self._b_rounds_collapsed.set(self.engine.rounds_collapsed)
                 self._b_round_saved.set(self.engine.round_events_saved)

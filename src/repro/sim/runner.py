@@ -98,25 +98,6 @@ class SimConfig:
     obs: Optional[Observability] = None
     #: Snapshot scrape period in sim seconds; None → half a base compute.
     snapshot_interval_s: Optional[float] = None
-    #: Engine calendar queue: None → auto (migrate past the pending-count
-    #: threshold), False → binary heap only (the differential-testing
-    #: slow path), True → same as auto (the calendar still only engages
-    #: past the threshold).  See docs/PERFORMANCE.md, "Mesoscale
-    #: fast-forward and the calendar queue".
-    engine_calendar: Optional[bool] = None
-    #: Pending-event count that triggers calendar migration; None → the
-    #: engine default.
-    engine_calendar_threshold: Optional[int] = None
-    #: Protocol-quiet event elision: None/True → the engine batch-serves
-    #: same-timestamp runs of worker compute-phase completions (clock
-    #: advanced once per region, no per-event queue bookkeeping), False →
-    #: event-by-event service, kept as the differential oracle exactly
-    #: like ``engine_calendar=False`` and ``server_dispatch="proc"``.
-    #: Served callback order — and thus the S001–S016 protocol event
-    #: stream and final params — is bit-identical either way.  See
-    #: docs/PERFORMANCE.md, "Protocol-quiet elision and parallel shard
-    #: drains".
-    engine_elide: Optional[bool] = None
     #: Closed-form round fast-forward: ``None``/``True`` → when every
     #: shard's sync condition is provably quiet for a whole protocol
     #: round (SSP/PSSP with s > 0 and an all-pushed quorum, timing-only
@@ -127,7 +108,7 @@ class SimConfig:
     #: straggler draw breaks inter-round isolation de-vectorizes back to
     #: the event path with no drift.  ``False`` keeps event-by-event
     #: protocol rounds as the differential oracle, exactly like
-    #: ``engine_calendar=False`` / ``engine_elide=False``.  Delivery
+    #: ``server_drain="event"`` / ``server_dispatch="proc"``.  Delivery
     #: traces, protocol instant streams, final params, and worker finish
     #: times are bit-identical either way.  See docs/PERFORMANCE.md,
     #: "Closed-form round fast-forward and the cohort state table".
@@ -420,12 +401,7 @@ class FluentPSSimRunner:
 
     def __init__(self, config: SimConfig):
         self.cfg = config
-        self.engine = Engine(
-            calendar=config.engine_calendar,
-            calendar_threshold=config.engine_calendar_threshold,
-            elide=config.engine_elide,
-            collapse=config.round_collapse,
-        )
+        self.engine = Engine(collapse=config.round_collapse)
         self.net: Network = config.cluster.make_network(self.engine)
         self.obs = config.obs or current_observability()
         # Observability implies a full span capture for trace export,
@@ -1167,7 +1143,6 @@ class FluentPSSimRunner:
                                 w, r, {r: dur_l[w], r + 1: dur_next[w]}
                             ),
                             name=self._worker_names[w],
-                            elidable=True,
                             start_at=float(c[w]),
                         )
                     return False
@@ -1382,19 +1357,14 @@ class FluentPSSimRunner:
         # Closed-form round fast-forward: when every shard is provably
         # quiet for whole rounds, the collapse driver commits them
         # analytically and only spawns worker processes if (and from the
-        # round where) it de-vectorizes.  Otherwise the classic path:
-        # worker compute phases are the homogeneous event population at
-        # scale; marking them elidable lets the engine batch-serve
-        # protocol-quiet same-instant runs (BSP barrier releases, the t=0
-        # start wave) without changing served order.
+        # round where) it de-vectorizes.  Otherwise the classic path: one
+        # worker process each.
         collapsed_all = False
         if self._collapse_eligible():
             collapsed_all = self._collapse_rounds()
         else:
             for w in range(self.cfg.cluster.n_workers):
-                self.engine.spawn(
-                    self._worker_proc(w), name=self._worker_names[w], elidable=True
-                )
+                self.engine.spawn(self._worker_proc(w), name=self._worker_names[w])
         snapshotter = None
         if self.obs.enabled:
             snapshotter = ServerSnapshotter(

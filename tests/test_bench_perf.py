@@ -92,8 +92,7 @@ class TestSuite:
         for key in (
             "peak_rss_mb",
             "pending_event_hwm",
-            "events_elided",
-            "quiet_regions",
+            "rounds_collapsed",
             "fused_deliveries",
         ):
             assert key in result.detail, key

@@ -1,10 +1,14 @@
 """Unit + property tests for the discrete-event engine."""
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import (
+    _HWM_STRIDE,
     AllOf,
     Engine,
     Resource,
@@ -57,6 +61,19 @@ class TestScheduling:
         eng.call_in(1.0, lambda: None)
         eng.run(until=7.5)
         assert eng.now == 7.5
+
+    def test_run_until_past_rejected(self):
+        eng = Engine()
+        eng.call_in(20.0, lambda: None)
+        eng.run(until=15.0)
+        with pytest.raises(SimulationError, match="past"):
+            eng.run(until=5.0)
+        assert eng.now == 15.0  # the clock never rewinds
+        assert eng.run(until=15.0) == 15.0  # until == now is allowed
+        seen = []
+        eng.call_in(1.0, lambda: seen.append(eng.now))
+        eng.run()
+        assert seen == [16.0]
 
     def test_max_events_budget(self):
         eng = Engine()
@@ -503,66 +520,94 @@ class TestTieOrderUnderCancellation:
         expected = [i for i in range(6) if i != cancel_idx] + ["repost"]
         assert seen == expected
 
-    @given(
-        n_fill=st.integers(min_value=520, max_value=580),
-        k=st.integers(min_value=0, max_value=580),
-        n_tie=st.integers(min_value=3, max_value=6),
-        cancel_mask=st.lists(st.booleans(), min_size=3, max_size=6),
-        n_repost=st.integers(min_value=1, max_value=3),
-        repost_live=st.booleans(),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_fast_forward_never_skips_repost_at_window_boundary(
-        self, n_fill, k, n_tie, cancel_mask, n_repost, repost_live
-    ):
-        """Extension of the tie-order property to the fast-forward engine.
 
-        A tombstoned-then-reposted event at the *same timestamp* must run
-        even when that timestamp straddles the mesoscale window boundary
-        (the first ``_CAL_NEAR`` events go into the presorted window, the
-        rest into calendar buckets; a live re-post lands in the raw heap
-        and must merge back in).  ``n_fill`` exceeds the window size so
-        the boundary falls inside the filler run, and ``k`` sweeps the
-        tie group's timestamp across it.  The oracle is the plain binary
-        heap: both engines must observe the identical event sequence.
-        """
-        k = min(k, n_fill)
-        tie_t = 10.0 + 0.01 * k  # collides with filler k: a boundary tie
+def _seeded_program(n, seed, horizon):
+    """Build-callable: ``n`` events at seeded-uniform times, a tenth of
+    them cancelled and a few re-posted at exactly the cancelled instants
+    (the tombstone-collision case).  Callbacks record ``(now, tag)``."""
+    rng = np.random.default_rng(seed)
+    times = [float(t) for t in rng.uniform(0.0, horizon, size=n)]
+    dead = rng.random(n) < 0.1
+    reposted = [int(i) for i in np.flatnonzero(dead)[:25]]
 
-        def build(eng, seen):
-            for i in range(n_fill):
-                eng.call_at(10.0 + 0.01 * i, seen.append, ("fill", i))
-            handles = [
-                eng.schedule(tie_t, seen.append, ("tie", i)) for i in range(n_tie)
-            ]
-            mask = (cancel_mask * n_tie)[:n_tie]
-            for h, dead in zip(handles, mask):
-                if dead:
-                    h.cancel()
-            repost = [
-                (tie_t, seen.append, ("repost", j)) for j in range(n_repost)
-            ]
-            if repost_live:
-                # Re-post from *inside* the run, just before the tie time:
-                # by then the sweep has windowed/bucketed the originals.
-                eng.call_at(
-                    tie_t - 0.005,
-                    lambda: [eng.call_at(*args) for args in repost],
-                )
-            else:
-                for args in repost:
-                    eng.call_at(*args)
+    def build(eng, seen):
+        handles = [
+            eng.schedule(t, lambda i=i: seen.append((eng.now, i)))
+            for i, t in enumerate(times)
+        ]
+        for i, is_dead in enumerate(dead):
+            if is_dead:
+                handles[i].cancel()
+        for i in reposted:
+            eng.schedule(times[i], lambda i=i: seen.append((eng.now, ["re", i])))
 
-        fast = Engine(calendar_threshold=16)
-        slow = Engine(calendar=False)
-        seen_fast, seen_slow = [], []
-        build(fast, seen_fast)
-        build(slow, seen_slow)
-        fast.run()
-        slow.run()
-        assert seen_fast == seen_slow
-        assert fast.calendar_sweeps >= 1  # the fast path actually engaged
-        reposts = [x for x in seen_fast if x[0] == "repost"]
-        assert reposts == [("repost", j) for j in range(n_repost)]
-        assert fast.now == slow.now
-        assert fast.events_processed == slow.events_processed
+    return build
+
+
+class TestRunControls:
+    """Bounded runs (``until``/``max_events``) are exact slices of the
+    full drain, and the engine's counters stay consistent across them."""
+
+    def _pair(self, build):
+        whole, sliced = Engine(), Engine()
+        seen_whole, seen_sliced = [], []
+        build(whole, seen_whole)
+        build(sliced, seen_sliced)
+        whole.run()
+        return whole, sliced, seen_whole, seen_sliced
+
+    def test_until_slices_match_full_drain(self):
+        whole, sliced, seen_whole, seen_sliced = self._pair(
+            _seeded_program(2_000, seed=6, horizon=10.0)
+        )
+        for until in (2.5, 5.0, 7.5):
+            sliced.run(until=until)
+            assert sliced.now == until
+            assert all(t <= until for t, _ in seen_sliced)
+        sliced.run()
+        assert json.dumps(seen_sliced) == json.dumps(seen_whole)
+        assert sliced.now == whole.now
+        assert sliced.events_processed == whole.events_processed
+
+    def test_max_events_slices_match_full_drain(self):
+        whole, sliced, seen_whole, seen_sliced = self._pair(
+            _seeded_program(2_000, seed=7, horizon=50.0)
+        )
+        for budget in (300, 700):
+            before = sliced.events_processed
+            sliced.run(max_events=budget)
+            assert sliced.events_processed == before + budget
+            assert seen_sliced == seen_whole[: len(seen_sliced)]
+        sliced.run()
+        assert json.dumps(seen_sliced) == json.dumps(seen_whole)
+        assert sliced.now == whole.now
+
+    def test_pending_events_accounting(self):
+        eng = Engine()
+        handles = [eng.schedule(float(i + 1), lambda: None) for i in range(2_000)]
+        for h in handles[::10]:
+            h.cancel()
+        live = 2_000 - len(handles[::10])
+        assert eng.pending_events == live
+        eng.run(max_events=300)
+        assert eng.pending_events == live - 300
+        eng.run()
+        assert eng.pending_events == 0
+        assert eng.events_processed == live
+
+
+class TestPendingHighWater:
+    def test_fan_out_after_small_drain_entry(self):
+        """One event pending at drain entry fans out thousands more: the
+        in-drain samples must still see (within one stride) the peak."""
+        eng = Engine()
+        n = 10 * _HWM_STRIDE  # the true peak: every fanned-out event pending
+
+        def fan_out():
+            for i in range(n):
+                eng.call_in(1.0 + 1e-3 * i, lambda: None)
+
+        eng.call_in(1.0, fan_out)
+        eng.run()
+        assert eng.pending_events == 0
+        assert n - _HWM_STRIDE <= eng.pending_high_water <= n

@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import blobs_task
-from repro.core.models import bsp, pssp, ssp
+from repro.core.models import bsp, ssp
 from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
-from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
+from repro.sim.cluster import cpu_cluster
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.network import Network, NicSpec
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import DeterministicCompute, LogNormalCompute
+
+from tests.presets import preset_configs
 
 
 def _run_schedule(schedule, analytic, latency_s, nics):
@@ -127,36 +129,6 @@ class TestMicroDifferential:
             assert net.messages_in_flight == 0
 
 
-def _preset_configs():
-    """One runner config per (preset, sync model, compute) cell."""
-    workload = alexnet_cifar_workload()
-    cells = []
-    for name, cluster in [
-        ("gpu_p2", gpu_cluster_p2(4, n_servers=2)),
-        ("cpu", cpu_cluster(4, n_servers=2)),
-    ]:
-        for sync_name, sync in [("ssp3", ssp(3)), ("bsp", bsp()), ("pssp", pssp(2, 0.5))]:
-            for comp_name, compute in [
-                ("det", DeterministicCompute()),
-                ("lognorm", LogNormalCompute(0.3)),
-            ]:
-                cells.append(
-                    pytest.param(
-                        dict(
-                            cluster=cluster,
-                            max_iter=6,
-                            sync=sync,
-                            workload=workload,
-                            batch_per_worker=64,
-                            compute_model=compute,
-                            seed=7,
-                        ),
-                        id=f"{name}-{sync_name}-{comp_name}",
-                    )
-                )
-    return cells
-
-
 def _run_traced(cfg_kwargs, analytic):
     runner = FluentPSSimRunner(SimConfig(**cfg_kwargs))
     runner.net.analytic = analytic
@@ -173,7 +145,7 @@ def _run_traced(cfg_kwargs, analytic):
 class TestPresetDifferential:
     """Entire co-simulated runs on each preset: byte-identical traces."""
 
-    @pytest.mark.parametrize("cfg_kwargs", _preset_configs())
+    @pytest.mark.parametrize("cfg_kwargs", preset_configs())
     def test_run_traces_identical(self, cfg_kwargs):
         fast_trace, fast_result, fast_runner = _run_traced(cfg_kwargs, True)
         slow_trace, slow_result, slow_runner = _run_traced(cfg_kwargs, False)

@@ -3,8 +3,7 @@
 The round collapse (docs/PERFORMANCE.md, "Closed-form round fast-forward
 and the cohort state table") must be *bit-identical* to the event path
 it replaces: same delivery traces, same protocol instant streams, same
-metrics, same finish times — in every engine regime (calendar vs heap,
-elision on vs off) and in both vector mode (no observability) and
+metrics, same finish times — in both vector mode (no observability) and
 handler mode (observability without a causal trace).  Every test here
 runs the same configuration twice — fast path vs ``round_collapse=False``
 oracle — and compares exhaustively.
@@ -136,7 +135,7 @@ def _instant_stream(obs):
     )
 
 
-def _cell(preset, sync_name, compute_name, calendar, elide, n=12, m=3, iters=4, seed=7):
+def _cell(preset, sync_name, compute_name, n=12, m=3, iters=4, seed=7):
     cluster = cpu_cluster(n, n_servers=m) if preset == "cpu" else gpu_cluster_p2(n, m)
     sync = {"ssp3": ssp(3), "pssp": pssp(2, 0.5), "bsp": bsp()}[sync_name]
     compute = {
@@ -150,8 +149,6 @@ def _cell(preset, sync_name, compute_name, calendar, elide, n=12, m=3, iters=4, 
         workload=alexnet_cifar_workload(),
         compute_model=compute,
         seed=seed,
-        engine_calendar=calendar,
-        engine_elide=elide,
     )
 
 
@@ -162,26 +159,22 @@ class TestVectorModeDifferential:
         preset=st.sampled_from(["cpu", "gpu_p2"]),
         sync_name=st.sampled_from(["ssp3", "pssp"]),
         compute_name=st.sampled_from(["det", "lognorm"]),
-        calendar=st.booleans(),
-        elide=st.booleans(),
         hooks=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=16, deadline=None)
-    def test_bit_identical_vs_oracle(
-        self, preset, sync_name, compute_name, calendar, elide, hooks, seed
-    ):
-        kwargs = _cell(preset, sync_name, compute_name, calendar, elide, seed=seed)
+    def test_bit_identical_vs_oracle(self, preset, sync_name, compute_name, hooks, seed):
+        kwargs = _cell(preset, sync_name, compute_name, seed=seed)
         _assert_differential(kwargs, hooks=hooks)
 
     def test_collapse_engages_on_homogeneous_cohort(self):
-        kwargs = _cell("cpu", "ssp3", "lognorm", None, None, n=20, m=4, iters=6)
+        kwargs = _cell("cpu", "ssp3", "lognorm", n=20, m=4, iters=6)
         ra, _rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed > 0
         assert ra.engine.round_events_saved > 0
 
     def test_full_collapse_leaves_no_events(self):
-        kwargs = _cell("cpu", "ssp3", "det", None, None, iters=3)
+        kwargs = _cell("cpu", "ssp3", "det", iters=3)
         kwargs["base_compute_time"] = 5.0  # comm spread << compute: isolated
         ra, rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed == 3
@@ -230,7 +223,7 @@ class TestDevectorization:
         """One straggler draw mid-run de-vectorizes back to the event
         path: earlier rounds stay collapsed, the straggler's round and
         everything after run event-by-event, and nothing drifts."""
-        kwargs = _cell("cpu", "ssp3", "det", None, None, n=10, m=3, iters=6)
+        kwargs = _cell("cpu", "ssp3", "det", n=10, m=3, iters=6)
         kwargs["base_compute_time"] = 5.0
         kwargs["compute_model"] = _InjectedStraggler(worker=3, iteration=2)
         ra, _rb = _assert_differential(kwargs)
@@ -238,7 +231,7 @@ class TestDevectorization:
         assert ra.engine.events_processed > 0  # the de-vectorized tail
 
     def test_straggler_in_round_zero_collapses_nothing(self):
-        kwargs = _cell("cpu", "ssp3", "det", None, None, n=10, m=3, iters=3)
+        kwargs = _cell("cpu", "ssp3", "det", n=10, m=3, iters=3)
         kwargs["base_compute_time"] = 5.0
         kwargs["compute_model"] = _InjectedStraggler(worker=0, iteration=0)
         ra, _rb = _assert_differential(kwargs)
@@ -252,9 +245,8 @@ class TestHandlerModeDifferential:
     servers themselves."""
 
     @pytest.mark.parametrize("sync_name", ["ssp3", "pssp"])
-    @pytest.mark.parametrize("calendar", [None, False])
-    def test_instant_streams_identical(self, sync_name, calendar):
-        kwargs = _cell("cpu", sync_name, "lognorm", calendar, None, n=14, m=3, iters=5)
+    def test_instant_streams_identical(self, sync_name):
+        kwargs = _cell("cpu", sync_name, "lognorm", n=14, m=3, iters=5)
         obs_factory = lambda: Observability(  # noqa: E731
             MetricsRegistry("collapse-test"), causal=False
         )
@@ -262,7 +254,7 @@ class TestHandlerModeDifferential:
         assert ra.engine.rounds_collapsed > 0
 
     def test_spans_identical(self):
-        kwargs = _cell("cpu", "ssp3", "lognorm", None, None, n=14, m=3, iters=5)
+        kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
         runs = []
         for collapse in (None, False):
             obs = Observability(MetricsRegistry("span-test"), causal=False)
@@ -281,14 +273,14 @@ class TestEligibilityGates:
         # The ambient pytest fixture installs an Observability whose
         # captures carry a causal trace; collapse must stand down (the
         # vectorized commit cannot reproduce per-message causal spans).
-        cfg = SimConfig(**_cell("cpu", "ssp3", "det", None, None))
+        cfg = SimConfig(**_cell("cpu", "ssp3", "det"))
         runner = FluentPSSimRunner(cfg)
         runner.run()
         assert runner.causal is not None
         assert runner.engine.rounds_collapsed == 0
 
     def test_bsp_is_ineligible(self):
-        kwargs = _cell("cpu", "bsp", "det", None, None)
+        kwargs = _cell("cpu", "bsp", "det")
         kwargs["base_compute_time"] = 5.0
         ra, _rb = _assert_differential(kwargs)
         assert ra.engine.rounds_collapsed == 0
@@ -299,7 +291,7 @@ class TestEligibilityGates:
         # stock protocol, so subclasses must keep the event path.
         from repro.baselines.pslite import PSLiteSimRunner
 
-        kwargs = _cell("cpu", "ssp3", "det", None, None)
+        kwargs = _cell("cpu", "ssp3", "det")
         kwargs["base_compute_time"] = 5.0
         cfg = SimConfig(**kwargs, obs=NULL_OBS)
         runner = PSLiteSimRunner(cfg)
@@ -307,7 +299,7 @@ class TestEligibilityGates:
         assert runner.engine.rounds_collapsed == 0
 
     def test_oracle_flag_disables_engine_credit(self):
-        kwargs = _cell("cpu", "ssp3", "det", None, None, iters=2)
+        kwargs = _cell("cpu", "ssp3", "det", iters=2)
         kwargs["base_compute_time"] = 5.0
         runner, _res, _t = _run(kwargs, False)
         assert not runner.engine.collapse_enabled or runner.engine.rounds_collapsed == 0

@@ -9,9 +9,8 @@ loop (``server_dispatch="proc"``): a request's handle time is
 delivery FIFO, bit-identical across the two dispatchers — only the
 event structure differs.  These tests run entire co-simulated training
 runs on every cluster preset × sync model × compute model cell and
-compare full delivery traces and trained parameters, force a congested
-server through the busy-window drain path, and pin the interaction with
-the calendar-queue engine backend.
+compare full delivery traces and trained parameters, and force a
+congested server through the busy-window drain path.
 """
 
 import json
@@ -27,7 +26,7 @@ from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import DeterministicCompute, LogNormalCompute
 
-from tests.test_engine_fastforward import _preset_configs
+from tests.presets import preset_configs
 
 
 def _run_dispatch(cfg_kwargs, dispatch, **extra):
@@ -47,7 +46,7 @@ def _run_dispatch(cfg_kwargs, dispatch, **extra):
 class TestPresetDifferential:
     """Entire co-simulated runs on each preset: byte-identical traces."""
 
-    @pytest.mark.parametrize("cfg_kwargs", _preset_configs())
+    @pytest.mark.parametrize("cfg_kwargs", preset_configs())
     def test_run_traces_identical(self, cfg_kwargs):
         d_trace, d_result, d_runner = _run_dispatch(cfg_kwargs, "direct")
         p_trace, p_result, p_runner = _run_dispatch(cfg_kwargs, "proc")
@@ -122,14 +121,12 @@ class TestBusyWindowDrain:
         assert d_result.duration == p_result.duration
 
     def test_drain_path_under_calendar_engine(self):
-        """Drain events are scheduled mid-run and must merge correctly
-        with the calendar window (a near-zero threshold forces sweeps
-        even at 6-worker scale)."""
+        """Drain events are scheduled mid-run and must merge into the
+        engine's one event heap in exact ``(when, seq)`` order."""
         d_trace, d_result, d_runner = _run_dispatch(
-            self._kwargs(), "direct", server_drain="event", engine_calendar_threshold=4
+            self._kwargs(), "direct", server_drain="event"
         )
-        p_trace, p_result, _ = _run_dispatch(self._kwargs(), "proc", engine_calendar=False)
-        assert d_runner.engine.calendar_sweeps > 0
+        p_trace, p_result, _ = _run_dispatch(self._kwargs(), "proc")
         assert d_runner.server_msgs_drained > 0
         assert json.dumps(d_trace) == json.dumps(p_trace)
         assert d_result.duration == p_result.duration

@@ -33,7 +33,7 @@ from repro.sim.cluster import cpu_cluster
 from repro.sim.runner import FluentPSSimRunner, SimConfig
 from repro.sim.stragglers import DeterministicCompute, LogNormalCompute
 
-from tests.test_engine_fastforward import _preset_configs
+from tests.presets import preset_configs
 
 
 def _run_drain(cfg_kwargs, drain, **extra):
@@ -57,7 +57,7 @@ def _sorted(trace):
 class TestPresetDifferential:
     """Entire co-simulated runs on each preset: identical wire timing."""
 
-    @pytest.mark.parametrize("cfg_kwargs", _preset_configs())
+    @pytest.mark.parametrize("cfg_kwargs", preset_configs())
     def test_run_traces_identical(self, cfg_kwargs):
         l_trace, l_result, l_runner = _run_drain(cfg_kwargs, "lane")
         e_trace, e_result, e_runner = _run_drain(cfg_kwargs, "event")
@@ -104,14 +104,9 @@ class TestCongestedDrain:
 
     def test_congested_drain_under_calendar_engine(self):
         """Lane replies are posted at analytic (future) instants and must
-        merge correctly with the calendar window."""
-        l_trace, l_result, l_runner = _run_drain(
-            self._kwargs(), "lane", engine_calendar_threshold=4
-        )
-        e_trace, e_result, _ = _run_drain(
-            self._kwargs(), "event", engine_calendar=False
-        )
-        assert l_runner.engine.calendar_sweeps > 0
+        merge into the engine's one event heap in exact time order."""
+        l_trace, l_result, _ = _run_drain(self._kwargs(), "lane")
+        e_trace, e_result, _ = _run_drain(self._kwargs(), "event")
         assert _sorted(l_trace) == _sorted(e_trace)
         assert l_result.duration == e_result.duration
 

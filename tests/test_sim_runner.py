@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.analysis import sanitize_observability
 from repro.bench.workloads import blobs_task
 from repro.core.models import asp, bsp, drop_stragglers, pssp, ssp
 from repro.core.server import ExecutionMode
 from repro.ml.models_zoo import alexnet_cifar_workload
 from repro.sim.cluster import cpu_cluster, gpu_cluster_p2
-from repro.sim.runner import SimConfig, run_fluentps
-from repro.sim.stragglers import DeterministicCompute, ExponentialTailCompute
+from repro.obs import MetricsRegistry, Observability
+from repro.sim.runner import FluentPSSimRunner, SimConfig, run_fluentps
+from repro.sim.stragglers import (
+    DeterministicCompute,
+    ExponentialTailCompute,
+    cpu_cluster_compute,
+)
 
 
 def timing_config(n=4, servers=2, iters=10, sync=None, **kw):
@@ -178,8 +184,6 @@ class TestWorkerSeriesCap:
     """Per-worker sketch series collapse to one aggregate at mesoscale."""
 
     def _run(self, n, threshold):
-        from repro.obs import MetricsRegistry, Observability
-
         obs = Observability(MetricsRegistry("cap"))
         run_fluentps(
             timing_config(
@@ -211,3 +215,45 @@ class TestWorkerSeriesCap:
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="worker_series_threshold"):
             timing_config(worker_series_threshold=0)
+
+
+class TestSnapshotGauges:
+    def test_engine_and_dispatch_gauges_match_runner(self):
+        obs = Observability(MetricsRegistry("gauges"))
+        runner = FluentPSSimRunner(timing_config(n=4, iters=4, sync=ssp(3), obs=obs))
+        runner.run()
+        reg = obs.registry
+        # finalize() lands the post-drain totals in the last sample.
+        assert (
+            reg.gauge("engine_pending_event_hwm").value()
+            == runner.engine.pending_high_water
+            > 0
+        )
+        assert reg.gauge("ps_dispatch_inline").value() == runner.server_msgs_inline
+        assert reg.gauge("ps_dispatch_drained").value() == runner.server_msgs_drained
+        assert reg.gauge("net_fused_deliveries").value() == runner.net.fused_deliveries
+
+
+class TestMesoscaleSanitized:
+    """A 1k-worker point through the protocol sanitizer."""
+
+    # Explicit Observability below; the ambient conftest bundle would
+    # double-report the same stream.
+    pytestmark = pytest.mark.no_sanitize
+
+    def test_1k_worker_trace_is_clean(self):
+        n = 1_000
+        obs = Observability(MetricsRegistry("meso"))
+        cfg = SimConfig(
+            cluster=cpu_cluster(n, n_servers=8),
+            max_iter=1,
+            sync=ssp(3),
+            workload=alexnet_cifar_workload(),
+            compute_model=cpu_cluster_compute(n),
+            seed=3,
+            obs=obs,
+        )
+        FluentPSSimRunner(cfg).run()
+        report = sanitize_observability(obs)
+        assert report.ok, report.describe()
+        assert report.n_events > 0
