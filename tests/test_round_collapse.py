@@ -245,13 +245,20 @@ class TestHandlerModeDifferential:
     servers themselves."""
 
     @pytest.mark.parametrize("sync_name", ["ssp3", "pssp"])
-    def test_instant_streams_identical(self, sync_name):
+    @pytest.mark.parametrize("span_capture", [None, False])
+    def test_instant_streams_identical(self, sync_name, span_capture):
+        # span_capture=None keeps the per-span list under observability;
+        # False drops it.  Either way the collapsed rounds must replay the
+        # same instants and the same span totals as the oracle.
         kwargs = _cell("cpu", sync_name, "lognorm", n=14, m=3, iters=5)
+        kwargs["span_capture"] = span_capture
         obs_factory = lambda: Observability(  # noqa: E731
             MetricsRegistry("collapse-test"), causal=False
         )
-        ra, _rb = _assert_differential(kwargs, obs_factory=obs_factory)
+        ra, rb = _assert_differential(kwargs, obs_factory=obs_factory)
         assert ra.engine.rounds_collapsed > 0
+        assert len(ra.trace.spans) == len(rb.trace.spans)
+        assert bool(ra.trace.spans) == (span_capture is None)
 
     def test_spans_identical(self):
         kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
