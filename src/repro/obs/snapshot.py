@@ -120,7 +120,7 @@ class ServerSnapshotter:
         )
         self._g_drained = registry.gauge(
             "ps_dispatch_drained",
-            "requests served behind a busy shard lane (cascade or drain)",
+            "requests served behind a busy shard drain lane",
         )
         self._b_inflight = self._g_inflight.labels()
         self._b_net_bytes = self._g_net_bytes.labels()

@@ -345,9 +345,8 @@ class EventHandle:
 class Engine:
     """The event loop.  All times are simulated seconds, starting at 0.
 
-    ``collapse=False`` disables the runner's closed-form round
-    fast-forward (the engine only carries the flag and its credit
-    counters; see :meth:`credit_collapsed_round`).
+    The runner's closed-form round fast-forward credits its rounds here
+    (see :meth:`credit_collapsed_round`).
     """
 
     __slots__ = (
@@ -359,7 +358,6 @@ class Engine:
         "_tombstones",
         "_choice_hook",
         "_pending_hwm",
-        "_collapse_enabled",
         "_rounds_collapsed",
         "_round_events_saved",
     )
@@ -371,7 +369,7 @@ class Engine:
     events_elided = 0
     calendar_sweeps = 0
 
-    def __init__(self, collapse: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
@@ -384,11 +382,8 @@ class Engine:
         #: Pending-event high-water mark, sampled at drain entry and every
         #: ``_HWM_STRIDE`` full-drain events — not per push.
         self._pending_hwm = 0
-        #: Closed-form round fast-forward (``collapse=False`` keeps the
-        #: event-by-event protocol rounds as the differential oracle).
-        #: The round analytics live in the runner; the engine only
-        #: carries the opt-out flag and the credit counters.
-        self._collapse_enabled = collapse is not False
+        #: Closed-form round fast-forward credits: the round analytics
+        #: live in the runner, which reports each committed round here.
         self._rounds_collapsed = 0
         self._round_events_saved = 0
 
@@ -427,11 +422,6 @@ class Engine:
         if pend > self._pending_hwm:
             self._pending_hwm = pend
         return self._pending_hwm
-
-    @property
-    def collapse_enabled(self) -> bool:
-        """Whether closed-form round fast-forward may engage."""
-        return self._collapse_enabled
 
     @property
     def rounds_collapsed(self) -> int:

@@ -108,10 +108,14 @@ class Endpoint:
         self.rx = Resource(engine, capacity=1, name=f"{node_id}.rx")
         self.inbox = Store(engine, name=f"{node_id}.inbox")
         #: Direct-dispatch hook: when set, delivered messages are handed
-        #: to ``sink(msg)`` synchronously inside the delivery event
-        #: instead of being appended to :attr:`inbox` — no Store/Signal
-        #: round-trip, no resume event.  The consumer owns its own FIFO
-        #: discipline (see the runner's busy-window dispatcher).
+        #: to ``sink(msg)`` synchronously instead of being appended to
+        #: :attr:`inbox` — no Store/Signal round-trip, no resume event.
+        #: Contract: on the analytic wire a signal-free delivery to a sink
+        #: is fused, so the sink may run at the message's TX-completion
+        #: instant, before ``engine.now`` reaches its arrival; it must
+        #: time itself off ``msg.deliver_time``, never ``engine.now``.
+        #: The consumer owns its own FIFO discipline (see the runner's
+        #: drain lanes).
         self.sink: Optional[Callable[["Message"], None]] = None
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -158,7 +162,6 @@ class Network:
         "messages_in_flight",
         "fast_path_transfers",
         "fallback_transfers",
-        "fuse_delivery",
         "fused_deliveries",
         "causal",
         "delay_hook",
@@ -208,15 +211,12 @@ class Network:
         #: Scheduling-path counters (scraped by ``repro.obs.snapshot``).
         self.fast_path_transfers = 0
         self.fallback_transfers = 0
-        #: Fused delivery (set by the runner's analytic drain lanes): a
-        #: signal-free send to a sink endpoint folds its delivery into the
-        #: TX-completion event — ``msg.deliver_time`` carries the exact
-        #: RX-drain instant, the sink runs with that virtual clock, and
-        #: the per-message delivery event disappears.  Only engaged when
-        #: nothing can observe real-time delivery (no signal, no delivery
-        #: hooks); timings are bit-identical because the RX cursor math is
-        #: unchanged and sinks time themselves off ``deliver_time``.
-        self.fuse_delivery = False
+        #: Deliveries folded into their TX-completion event (analytic
+        #: wire): a signal-free send to a sink endpoint, with no delivery
+        #: or choice hook that could observe real-time delivery.  Timings
+        #: are bit-identical because the RX cursor math is unchanged and
+        #: sinks time themselves off ``deliver_time`` (see
+        #: :attr:`Endpoint.sink`).
         self.fused_deliveries = 0
         #: Causal span sink (a :class:`repro.obs.causal.CausalTrace`);
         #: ``None`` keeps the wire paths recording-free.  Recording only
@@ -282,9 +282,9 @@ class Network:
         signal allocation per message at incast rates.  Timing is
         identical either way: the signal only ever *observes* delivery.
         ``at`` (>= ``engine.now``) sends from a virtual instant instead of
-        the engine clock — the runner's analytic drain lanes use it so a
-        reply issued from a cascaded handle time serializes exactly when
-        the event-driven drain would have sent it.  ``on_deliver`` runs a
+        the engine clock, on either wire — the runner's drain lanes use it
+        so a reply issued from a cascaded handle time serializes exactly
+        when the proc loop would have sent it.  ``on_deliver`` runs a
         plain callback inline inside the delivery event instead of firing
         a Signal — one event and one allocation cheaper per message than
         subscribing; it supersedes ``notify`` and the call returns None."""
@@ -388,9 +388,10 @@ class Network:
             )
         else:
             self.fallback_transfers += 1
-            self.engine.spawn(
+            engine.spawn(
                 self._transfer(msg, src_ep, dst_ep, done, deliver_to_inbox),
                 name="xfer",
+                start_at=now,
             )
         return done
 
@@ -438,7 +439,6 @@ class Network:
         engine = self.engine
         if (
             done is None
-            and self.fuse_delivery
             and deliver_to_inbox
             and dst_ep.sink is not None
             and not self._delivery_hooks

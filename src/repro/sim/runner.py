@@ -20,10 +20,9 @@ ResNet-56-sized transfers while the gradients stay cheap to compute.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -98,41 +97,33 @@ class SimConfig:
     obs: Optional[Observability] = None
     #: Snapshot scrape period in sim seconds; None → half a base compute.
     snapshot_interval_s: Optional[float] = None
-    #: Closed-form round fast-forward: ``None``/``True`` → when every
-    #: shard's sync condition is provably quiet for a whole protocol
-    #: round (SSP/PSSP with s > 0 and an all-pushed quorum, timing-only
-    #: run, analytic drain lanes, no causal trace / delay hook / choice
-    #: hook), the runner advances the entire round analytically — one
-    #: vectorized pass over a cohort state table instead of O(workers)
-    #: resume/deliver events per iteration.  The first round whose
-    #: straggler draw breaks inter-round isolation de-vectorizes back to
-    #: the event path with no drift.  ``False`` keeps event-by-event
-    #: protocol rounds as the differential oracle, exactly like
-    #: ``server_drain="event"`` / ``server_dispatch="proc"``.  Delivery
-    #: traces, protocol instant streams, final params, and worker finish
-    #: times are bit-identical either way.  See docs/PERFORMANCE.md,
-    #: "Closed-form round fast-forward and the cohort state table".
-    round_collapse: Optional[bool] = None
+    #: Closed-form round fast-forward: ``True`` → when every shard's
+    #: sync condition is provably quiet for a whole protocol round
+    #: (SSP/PSSP with s > 0 and an all-pushed quorum, timing-only run,
+    #: direct dispatch on the analytic wire, no causal trace / delay hook
+    #: / choice hook), the runner advances the entire round analytically
+    #: — one vectorized pass over a cohort state table instead of
+    #: O(workers) resume/deliver events per iteration.  The first round
+    #: whose straggler draw breaks inter-round isolation de-vectorizes
+    #: back to the event path with no drift.  ``False`` keeps
+    #: event-by-event protocol rounds as the differential oracle.
+    #: Delivery traces, protocol instant streams, final params, and
+    #: worker finish times are bit-identical either way.  See
+    #: docs/PERFORMANCE.md, "Closed-form round fast-forward and the
+    #: cohort state table".
+    round_collapse: bool = True
     #: Server request dispatch.  ``"direct"`` (default) handles each
-    #: delivered request inside the delivery event via the endpoint sink:
-    #: no inbox round-trip, no per-request resume event — a busy server
-    #: parks arrivals and drains them FIFO when its busy window closes.
+    #: delivered request inside the delivery event via the endpoint sink
+    #: and runs one analytic drain lane per shard: a request that
+    #: arrives while the shard is busy is served at once at the cascaded
+    #: virtual handle time ``max(deliver_time, lane busy end)`` — no
+    #: inbox round-trip, no per-request resume or drain event.
     #: ``"proc"`` runs the classic one-generator-per-server inbox loop
-    #: and is the dispatch differential oracle.  Handle times and
-    #: per-server FIFO order are bit-identical between the two; only the
-    #: event structure differs.
+    #: and is the dispatch differential oracle.  Handle times, wire
+    #: timestamps and final params are bit-identical between the two on
+    #: either wire; message ids may differ once requests park (the lane
+    #: issues a parked request's replies earlier in event order).
     server_dispatch: str = "direct"
-    #: Busy-server drain mode under direct dispatch.  ``"lane"``
-    #: (default): each shard runs an analytic drain lane — a parked
-    #: request's handle time is the cascade ``max(deliver_time, lane busy
-    #: end)`` computed at arrival, served immediately on the per-shard
-    #: virtual clock, so no per-message drain events exist and (on the
-    #: analytic wire) request deliveries fuse into their TX-completion
-    #: events.  ``"event"`` keeps the sequential busy-window drain (one
-    #: engine event per parked request) as the differential oracle.
-    #: Handle times, protocol event streams, and final params are
-    #: bit-identical across modes; see docs/PERFORMANCE.md.
-    server_drain: str = "lane"
     #: Per-worker observability series cap.  Below this worker count the
     #: runner keeps one ``pull_latency_seconds`` sketch series per worker
     #: (labels ``worker=<w>``); above it, all workers share a single
@@ -150,11 +141,24 @@ class SimConfig:
                 f"server_dispatch must be 'direct' or 'proc', "
                 f"got {self.server_dispatch!r}"
             )
-        if self.server_drain not in ("lane", "event"):
+        if not isinstance(self.round_collapse, bool):
             raise ValueError(
-                f"server_drain must be 'lane' or 'event', "
-                f"got {self.server_drain!r}"
+                f"round_collapse must be a bool, got {self.round_collapse!r}"
             )
+        if self.batch_per_worker < 1:
+            raise ValueError(
+                f"batch_per_worker must be >= 1, got {self.batch_per_worker}"
+            )
+        for name in (
+            "server_op_overhead_s",
+            "dpr_overhead_s",
+            "header_bytes",
+            "request_bytes",
+            "eval_every",
+        ):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.worker_series_threshold < 1:
             raise ValueError(
                 f"worker_series_threshold must be >= 1, "
@@ -401,7 +405,7 @@ class FluentPSSimRunner:
 
     def __init__(self, config: SimConfig):
         self.cfg = config
-        self.engine = Engine(collapse=config.round_collapse)
+        self.engine = Engine()
         self.net: Network = config.cluster.make_network(self.engine)
         self.obs = config.obs or current_observability()
         # Observability implies a full span capture for trace export,
@@ -437,7 +441,7 @@ class FluentPSSimRunner:
                 # real handle events, and the cascaded virtual handle time
                 # when the analytic lane serves a parked request — so
                 # waited times and protocol instants are bit-identical
-                # across drain modes.
+                # across dispatchers.
                 clock=lambda j=j: self._srv_now[j],
                 rng=derive_rng(config.seed, "server", j),
                 obs=self.obs,
@@ -492,24 +496,16 @@ class FluentPSSimRunner:
         self.eval_by_time = SeriesRecord("eval", x_label="time_s", y_label="metric")
         self.eval_by_iteration = SeriesRecord("eval", x_label="iteration", y_label="metric")
         self._finish_times: List[float] = [0.0] * n
-        # Direct-dispatch state (also read by the proc loop): per-server
-        # busy-window close time, parked arrivals, and whether a drain
-        # event is already on the calendar for that server.
+        # Dispatch state (also read by the proc loop): per-server busy
+        # lane end and the virtual clock of the request being served.
         self._direct = config.server_dispatch == "direct"
-        # Analytic drain lanes need cursor-scheduled (analytic) wire
-        # timing; the process-path wire falls back to the event drain.
-        self._lane = (
-            self._direct and config.server_drain == "lane" and self.net.analytic
-        )
         self._srv_names = [f"server{j}" for j in range(m)]
         self._srv_busy = [0.0] * m
         # Per-shard virtual clock: the handle time of the request this
         # shard is currently serving (== engine.now inside real handle
         # events).  ShardServer.clock reads it, so DPR waits and protocol
-        # instants see identical times in lane and event drain modes.
+        # instants see identical times under both dispatchers.
         self._srv_now = [0.0] * m
-        self._srv_queue: List[Deque[Message]] = [deque() for _ in range(m)]
-        self._srv_drain_pending = [False] * m
         # Hot-path memos: node-id strings, per-shard wire sizes, and (when
         # causal tracing is off) one prebound pull responder per server —
         # all pure functions of the config, resolved once instead of per
@@ -554,7 +550,8 @@ class FluentPSSimRunner:
         The dispatch differential oracle — both paths share
         :meth:`_handle_server_msg`, so handle times and per-server FIFO
         order match the direct dispatcher bit-for-bit; only the event
-        structure (inbox resume + timeout vs. inline + drain) differs."""
+        structure (inbox resume + timeout vs. inline drain lane)
+        differs."""
         ep = self.net.endpoint(self.cfg.cluster.server_id(m))
         while True:
             msg: Message = yield ep.inbox.get()
@@ -563,42 +560,20 @@ class FluentPSSimRunner:
                 yield Timeout(cost)
 
     def _dispatch_server(self, m: int, msg: Message) -> None:
-        """Endpoint sink (``server_dispatch="direct"``): handle the
-        request inside the delivery event while the server is free;
-        otherwise the drain mode decides.  ``"lane"``: serve it *now* at
-        the cascaded virtual handle time ``max(deliver_time, lane busy
-        end)`` — arrival order equals handle order per shard, so the
-        cascade reproduces the busy-window FIFO with zero extra events.
-        ``"event"``: park it and drain FIFO when the busy window closes
-        (one engine event per parked request, the differential oracle).
-        Handle times are bit-identical across modes and to the proc
-        loop."""
+        """Endpoint sink (``server_dispatch="direct"``): the shard's
+        analytic drain lane.  A request is served *now*, at the virtual
+        handle time ``max(deliver_time, lane busy end)`` — arrival order
+        equals handle order per shard, so the cascade reproduces the proc
+        loop's busy-window FIFO with zero extra events.  Handle times are
+        bit-identical to the proc loop on either wire."""
         now = msg.deliver_time
         busy = self._srv_busy[m]
-        if self._lane:
-            if now >= busy:
-                self.server_msgs_inline += 1
-                self._handle_server_msg(m, msg, now)
-            else:
-                self.server_msgs_drained += 1
-                self._handle_server_msg(m, msg, busy)
-            return
-        if now >= busy and not self._srv_queue[m]:
+        if now >= busy:
             self.server_msgs_inline += 1
             self._handle_server_msg(m, msg, now)
         else:
-            self._srv_queue[m].append(msg)
-            if not self._srv_drain_pending[m]:
-                self._srv_drain_pending[m] = True
-                self.engine._schedule(busy, self._drain_server, m)
-
-    def _drain_server(self, m: int) -> None:
-        self._srv_drain_pending[m] = False
-        self.server_msgs_drained += 1
-        self._handle_server_msg(m, self._srv_queue[m].popleft(), self.engine.now)
-        if self._srv_queue[m]:
-            self._srv_drain_pending[m] = True
-            self.engine._schedule(self._srv_busy[m], self._drain_server, m)
+            self.server_msgs_drained += 1
+            self._handle_server_msg(m, msg, busy)
 
     def _handle_server_msg(self, m: int, msg: Message, now: float) -> float:
         server = self.servers[m]
@@ -822,14 +797,15 @@ class FluentPSSimRunner:
         """True when whole protocol rounds can be committed analytically.
 
         The closed form models exactly one behavior: timing-only workers
-        that push then pull every shard each iteration over analytic
-        drain lanes, with every shard's sync condition provably quiet
-        (every pull immediate, one frontier advance per round, no DPRs,
-        no PSSP coin flips).  Anything outside that — real gradients,
-        quorums below n, BSP's s=0 soft barrier, DSPS's self-mutating
-        staleness, event-mode drains, DPOR choice/delay hooks, causal
-        tracing, span capture without obs — keeps the per-event path,
-        which stays bit-identical by construction.
+        that push then pull every shard each iteration over the drain
+        lanes on the analytic wire, with every shard's sync condition
+        provably quiet (every pull immediate, one frontier advance per
+        round, no DPRs, no PSSP coin flips).  Anything outside that —
+        real gradients, quorums below n, BSP's s=0 soft barrier, DSPS's
+        self-mutating staleness, proc dispatch, the process wire, DPOR
+        choice/delay hooks, causal tracing, span capture without obs —
+        keeps the per-event path, which stays bit-identical by
+        construction.
         """
         cfg = self.cfg
         if type(self) is not FluentPSSimRunner:
@@ -837,9 +813,9 @@ class FluentPSSimRunner:
             # SpecSync) subclass this runner with their own protocols;
             # the cohort closed form models only the stock one.
             return False
-        if not self.engine.collapse_enabled:
+        if not cfg.round_collapse:
             return False
-        if not self._lane or not self.net.analytic:
+        if not self._direct or not self.net.analytic:
             return False
         if cfg.task is not None:
             return False
@@ -1346,14 +1322,12 @@ class FluentPSSimRunner:
             for m in range(self.cfg.cluster.n_servers):
                 self.engine.spawn(self._server_proc(m), name=f"server{m}")
         else:
+            # The drain lanes time themselves off ``msg.deliver_time``, so
+            # the analytic wire folds signal-free request deliveries into
+            # their TX-completion events.
             for m in range(self.cfg.cluster.n_servers):
                 ep = self.net.endpoint(self.cfg.cluster.server_id(m))
                 ep.sink = partial(self._dispatch_server, m)
-            if self._lane:
-                # Analytic drain lanes time themselves off
-                # ``msg.deliver_time``, so signal-free request deliveries
-                # can fold into their TX-completion events.
-                self.net.fuse_delivery = True
         # Closed-form round fast-forward: when every shard is provably
         # quiet for whole rounds, the collapse driver commits them
         # analytically and only spawns worker processes if (and from the

@@ -121,6 +121,25 @@ class TestMicroDifferential:
         delivers = [t[4] for t in fast]
         assert delivers == sorted(delivers)
 
+    def test_send_from_future_instant_identical(self):
+        """``send(at=)`` serializes from the virtual instant on both paths:
+        the process fallback must not start the transfer at ``engine.now``
+        and deliver before the message's own send time."""
+        nic = NicSpec(bandwidth_Bps=1e8, overhead_s=10e-6)
+        records = []
+        for analytic in (True, False):
+            eng = Engine()
+            net = Network(eng, latency_s=50e-6, analytic=analytic)
+            for n in ("a", "b"):
+                net.add_node(n, nic)
+            done = net.send("a", "b", 4096, at=0.5)
+            eng.run()
+            msg = done.payload
+            records.append((msg.send_time, msg.deliver_time))
+        assert records[0] == records[1]
+        hold = nic.serialize_time(4096)
+        assert records[0] == (0.5, 0.5 + hold + 50e-6 + hold)
+
     def test_inflight_gauges_return_to_zero(self):
         nics = {n: NicSpec(bandwidth_Bps=1e8) for n in ("a", "b")}
         for analytic in (True, False):
@@ -233,8 +252,8 @@ class _RecordingEngine(Engine):
         super().__init__()
         self.spawned = []
 
-    def spawn(self, gen, name=""):
-        proc = super().spawn(gen, name)
+    def spawn(self, gen, name="", start_at=None):
+        proc = super().spawn(gen, name, start_at)
         self.spawned.append(proc)
         return proc
 

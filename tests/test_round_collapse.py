@@ -108,7 +108,7 @@ def _assert_differential(cfg_kwargs, obs_factory=None, hooks=True):
     """Fast path vs oracle: bit-identical results, exact event census."""
     obs_a = obs_factory() if obs_factory else None
     obs_b = obs_factory() if obs_factory else None
-    ra, resa, ta = _run(cfg_kwargs, None, obs=obs_a, hooks=hooks)
+    ra, resa, ta = _run(cfg_kwargs, True, obs=obs_a, hooks=hooks)
     rb, resb, tb = _run(cfg_kwargs, False, obs=obs_b, hooks=hooks)
     assert rb.engine.rounds_collapsed == 0
     assert _fingerprint(ra, resa, ta) == _fingerprint(rb, resb, tb)
@@ -263,7 +263,7 @@ class TestHandlerModeDifferential:
     def test_spans_identical(self):
         kwargs = _cell("cpu", "ssp3", "lognorm", n=14, m=3, iters=5)
         runs = []
-        for collapse in (None, False):
+        for collapse in (True, False):
             obs = Observability(MetricsRegistry("span-test"), causal=False)
             runner, _res, _t = _run(kwargs, collapse, obs=obs, hooks=False)
             runs.append(
@@ -309,7 +309,6 @@ class TestEligibilityGates:
         kwargs = _cell("cpu", "ssp3", "det", iters=2)
         kwargs["base_compute_time"] = 5.0
         runner, _res, _t = _run(kwargs, False)
-        assert not runner.engine.collapse_enabled or runner.engine.rounds_collapsed == 0
         assert runner.engine.rounds_collapsed == 0
         assert runner.engine.round_events_saved == 0
 

@@ -65,6 +65,33 @@ class TestConfig:
         with pytest.raises(ValueError):
             timing_config(iters=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("server_op_overhead_s", -1e-6),
+            ("dpr_overhead_s", -1e-6),
+            ("header_bytes", -(10**8)),
+            ("request_bytes", -1),
+            ("eval_every", -1),
+            ("batch_per_worker", 0),
+            ("batch_per_worker", -4),
+            ("round_collapse", None),
+            ("round_collapse", 1),
+        ],
+    )
+    def test_malformed_field_rejected(self, field, value):
+        """Malformed cost, size and flag fields fail at construction with
+        a ValueError naming the field, not deep inside the run."""
+        kwargs = dict(
+            cluster=gpu_cluster_p2(2, 1),
+            max_iter=2,
+            sync=bsp(),
+            workload=alexnet_cifar_workload(),
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**kwargs)
+
 
 class TestTimingRuns:
     def test_completes_and_accounts(self):
